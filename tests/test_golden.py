@@ -1,0 +1,42 @@
+"""Pinned report payloads: every shipped config, run through the CLI layer,
+serializes to the same bytes.
+
+A refactor that keeps these digests keeps every report payload byte for
+byte.  A change that alters a payload on purpose re-pins the digest and
+says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from realitysteer.cli import RunConfig, canonical_payload_bytes, cmd_run, cmd_sweep, parse_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# Trial-count overrides that keep the test fast; other configs run as shipped.
+TRIALS = {"decoupling_sweep.json": 2}
+
+DIGESTS = {
+    "biased_tagged_run.json": "8a3ab77ad7fde60bc812b3ed3d71efde550d95794d726c3f8786abf9eabe66fe",
+    "canonical_run.json": "e4c77dbc72d067ab72406d78d0a4b7f89da7835496a1b289181059b149db2a2f",
+    "decoupling_sweep.json": "896881bfce6cc7a241088041fc91a203b5aab71b0dcde3653cd1bf3914229898",
+    "env_sweep.json": "55caacd62ef93cf6e85f75b2b248f8357383a6e5bade84ce4688d393e4ecac87",
+    "lambda_sweep.json": "9cf7adf7a07fdcff6107229e8de78bee0f702e1bd3ec1f08361b2c574122acc8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_payload_digest(name, tmp_path):
+    config = parse_config(str(CONFIG_DIR / name))
+    command = cmd_run if isinstance(config, RunConfig) else cmd_sweep
+    out = tmp_path / "report.json"
+    assert command(config, out=str(out), trials=TRIALS.get(name)) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == DIGESTS[name]
+
+
+def test_every_config_is_pinned():
+    assert sorted(path.name for path in CONFIG_DIR.glob("*.json")) == sorted(DIGESTS)
