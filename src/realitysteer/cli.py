@@ -9,7 +9,8 @@ Subcommands::
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 configuration or usage error, 3 runtime error.  ``--threads`` defaults to
-the ``REALITY_STEER_THREADS`` environment variable.
+the ``REALITY_STEER_THREADS`` environment variable; it and ``--trials`` must
+be >= 1.
 
 Config files are JSON.  A run config holds a ``scenario`` block plus
 ``num_trials`` / ``output_path`` / ``emit_per_trial``; a sweep config adds a
@@ -19,6 +20,11 @@ weight_c0sq), ``values``, ``trials_per_point``, and (for accessible_k)
 amplitudes or [re, im] pairs; omitted means equal weights), env_qubits,
 encoding (plain|tagged), observe_variant (a|b|c), participation
 (all|dead_only|alive_only), nonlinear_lambda, rng_seed.
+
+``Scenario`` holds every scenario rule and parsing only coerces types.  Each
+scenario a config will run, every sweep point too, is built with its analytic
+column at parse time: a config that parses runs, and a refusal exits 2
+naming its key.
 
 Reports are JSON documents ``{"payload": ..., "metadata": ...}``.  The
 payload is fully determined by config and seed and serializes byte-
@@ -43,7 +49,6 @@ from .protocol import (
     Participation,
     RecordEncoding,
     Scenario,
-    TrialEngine,
     decoupling_sweep,
     run_ensemble,
     scenario_layout,
@@ -85,113 +90,101 @@ def _get(mapping, key, expected, context, default=None, required=False):
             raise ConfigError(f"{context}.{key}: missing required key")
         return default
     value = mapping[key]
-    if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if expected in (int, float) and isinstance(value, bool):
+    if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
         raise ConfigError(
-            f"{context}.{key}: expected {expected.__name__}, got bool"
-        )
-    if expected is not None and not isinstance(value, expected):
-        raise ConfigError(
-            f"{context}.{key}: expected {getattr(expected, '__name__', expected)}, "
-            f"got {type(value).__name__}"
+            f"{context}.{key}: expected {expected.__name__}, got {type(value).__name__}"
         )
     return value
 
 
-def _parse_weights(raw, num_branches, context):
+def _number(value, where: str) -> float:
+    """A JSON number as a float; NaN and infinities are left to the rules."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: integer out of the float range") from None
+
+
+def _choice(block, key, enum, context, default):
+    name = _get(block, key, str, context, default=default)
+    try:
+        return enum(name)
+    except ValueError:
+        choices = ", ".join(member.value for member in enum)
+        raise ConfigError(f"{context}.{key}: must be one of {choices}") from None
+
+
+def _parse_weights(raw, context):
+    """Coerce real amplitudes or [re, im] pairs; None means equal weights."""
     if raw is None:
-        return np.full(num_branches, 1.0 / math.sqrt(num_branches))
-    if not isinstance(raw, list) or len(raw) != num_branches:
-        raise ConfigError(
-            f"{context}.weights: expected a list of {num_branches} amplitudes"
-        )
-    weights = []
-    for entry in raw:
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            weights.append(complex(entry))
-        elif isinstance(entry, list) and len(entry) == 2:
-            weights.append(complex(entry[0], entry[1]))
-        else:
-            raise ConfigError(
-                f"{context}.weights: entries must be numbers or [re, im] pairs"
-            )
-    total = sum(abs(w) ** 2 for w in weights)
-    if abs(total - 1.0) > 1e-10:
-        raise ConfigError(
-            f"{context}.weights: squared amplitudes sum to {total:.6f}, expected 1"
-        )
-    return np.array(weights)
+        return None
+    where = f"{context}.weights"
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where}: expected a list of amplitudes")
+    pairs = [e if isinstance(e, list) and len(e) == 2 else (e, 0.0) for e in raw]
+    return [complex(_number(re, where), _number(im, where)) for re, im in pairs]
+
+
+SCENARIO_KEYS = (
+    "num_alive", "num_dead", "weights", "env_qubits", "encoding",
+    "observe_variant", "participation", "nonlinear_lambda", "rng_seed",
+)
 
 
 def parse_scenario(block, context: str = "scenario") -> Scenario:
+    """Coerce a scenario block to a Scenario.  ``Scenario`` owns every rule;
+    its messages start with the rejected field, prefixed here with context."""
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected an object")
-    known = {
-        "num_alive", "num_dead", "weights", "env_qubits", "encoding",
-        "observe_variant", "participation", "nonlinear_lambda", "rng_seed",
-    }
     for key in block:
-        if key not in known:
+        if key not in SCENARIO_KEYS:
             raise ConfigError(f"{context}.{key}: unknown key")
+    encoding = _choice(block, "encoding", RecordEncoding, context, "plain")
+    participation = _choice(block, "participation", Participation, context, "all")
     num_alive = _get(block, "num_alive", int, context, default=1)
     num_dead = _get(block, "num_dead", int, context, default=1)
-    if num_alive < 1:
-        raise ConfigError(f"{context}.num_alive: must be >= 1")
-    if num_dead < 1:
-        raise ConfigError(f"{context}.num_dead: must be >= 1")
-    weights = _parse_weights(block.get("weights"), num_alive + num_dead, context)
+    weights = _parse_weights(block.get("weights"), context)
     env_qubits = _get(block, "env_qubits", int, context, default=1)
-    if env_qubits < 1:
-        raise ConfigError(f"{context}.env_qubits: must be >= 1")
-    encoding_name = _get(block, "encoding", str, context, default="plain")
-    try:
-        encoding = RecordEncoding(encoding_name)
-    except ValueError:
-        raise ConfigError(f"{context}.encoding: must be 'plain' or 'tagged'") from None
     variant = _get(block, "observe_variant", str, context, default="a")
-    if variant not in ("a", "b", "c"):
-        raise ConfigError(f"{context}.observe_variant: must be one of a, b, c")
-    participation_name = _get(block, "participation", str, context, default="all")
-    try:
-        participation = Participation(participation_name)
-    except ValueError:
-        raise ConfigError(
-            f"{context}.participation: must be one of all, dead_only, alive_only"
-        ) from None
-    lambda_raw = block.get("nonlinear_lambda")
-    if lambda_raw is not None:
-        if isinstance(lambda_raw, bool) or not isinstance(lambda_raw, (int, float)):
-            raise ConfigError(f"{context}.nonlinear_lambda: expected a number or null")
-        if not np.isfinite(lambda_raw) or lambda_raw < 0:
-            raise ConfigError(f"{context}.nonlinear_lambda: must be finite and >= 0")
-        lambda_raw = float(lambda_raw)
+    nonlinear_lambda = block.get("nonlinear_lambda")
+    if nonlinear_lambda is not None:
+        nonlinear_lambda = _number(nonlinear_lambda, f"{context}.nonlinear_lambda")
     rng_seed = _get(block, "rng_seed", int, context, default=0)
     try:
-        scenario = Scenario(
+        return Scenario(
             branch_structure=BranchStructure(num_alive, num_dead, weights),
             env_qubits=env_qubits,
             encoding=encoding,
             observe_variant=variant,
             participation=participation,
-            nonlinear_lambda=lambda_raw,
+            nonlinear_lambda=nonlinear_lambda,
             rng_seed=rng_seed,
         )
     except ValueError as error:
-        # Scenario-level validation (e.g. the qubit budget) names the key that
-        # most directly drives register size.
-        message = str(error)
-        if "budget" in message:
-            raise ConfigError(
-                f"{context}.env_qubits: {message} (reduce env_qubits or branches)"
-            ) from None
-        raise ConfigError(f"{context}: {message}") from None
-    return scenario
+        raise ConfigError(f"{context}.{error}") from None
+
+
+def sweep_point(base: Scenario, axis: str, value) -> Scenario:
+    """The scenario a lambda, env_qubits or weight_c0sq sweep runs at one
+    value.  Raises ValueError for a value the axis cannot take."""
+    if axis == "lambda":
+        return replace(base, nonlinear_lambda=float(value))
+    if axis == "env_qubits":
+        if not float(value).is_integer():
+            raise ValueError("env_qubits: must be an integer")
+        return replace(base, env_qubits=int(value))
+    if not 0 <= value <= 1:  # weight_c0sq
+        raise ValueError("weight_c0sq: must be in [0, 1]")
+    c0sq = float(value)
+    two = BranchStructure.two_branch(math.sqrt(c0sq), math.sqrt(1.0 - c0sq))
+    return replace(base, branch_structure=two)
 
 
 def parse_config(path: str):
     """Parse a JSON config into a RunConfig or SweepConfig (the latter when a
-    ``sweep`` block is present); all scenario invariants are enforced here."""
+    ``sweep`` block is present), refusing anything that would fail later."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()
@@ -206,6 +199,10 @@ def parse_config(path: str):
     if not isinstance(document, dict):
         raise ConfigError(f"{path}: top level must be an object")
     scenario = parse_scenario(document.get("scenario", {}), "scenario")
+    # Blank memory and branch 0's plain record coincide: samples would
+    # contradict the analytic column.  Demo 02 shows it through the library.
+    if scenario.encoding is RecordEncoding.PLAIN and scenario.participation is not Participation.ALL:
+        raise ConfigError("scenario.participation: partial participation needs encoding 'tagged'")
     if "sweep" in document:
         block = document["sweep"]
         if not isinstance(block, dict):
@@ -222,10 +219,20 @@ def parse_config(path: str):
         num_record_qubits = _get(block, "num_record_qubits", int, "sweep", default=10)
         if not 1 <= num_record_qubits <= 12:
             raise ConfigError("sweep.num_record_qubits: must be in 1..12")
+        if axis == "weight_c0sq" and scenario.branch_structure.num_branches != 2:
+            raise ConfigError("sweep.axis: weight sweeps need a two-branch scenario")
         for value in values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError("sweep.values: entries must be numbers")
-        _validate_sweep_values(axis, values, scenario, num_record_qubits)
+            number = _number(value, "sweep.values")
+            try:
+                if axis == "accessible_k":
+                    if not number.is_integer() or not 0 <= number <= num_record_qubits:
+                        raise ValueError(f"must be integers in 0..{num_record_qubits}")
+                else:
+                    expected_post_probabilities(sweep_point(scenario, axis, value))
+            except ValueError as error:
+                raise ConfigError(
+                    f"sweep.values: {axis} values include {value!r}: {error}"
+                ) from None
         return SweepConfig(
             base=scenario,
             axis=axis,
@@ -233,38 +240,16 @@ def parse_config(path: str):
             trials_per_point=trials_per_point,
             num_record_qubits=num_record_qubits,
         )
+    try:
+        expected_post_probabilities(scenario)
+    except ValueError as error:
+        raise ConfigError(f"scenario.{error}") from None
     num_trials = _get(document, "num_trials", int, "config", default=1000)
     if num_trials < 1:
         raise ConfigError("config.num_trials: must be >= 1")
     output_path = _get(document, "output_path", str, "config")
     emit_per_trial = _get(document, "emit_per_trial", bool, "config", default=False)
     return RunConfig(scenario, num_trials, output_path, emit_per_trial)
-
-
-def _validate_sweep_values(axis, values, base: Scenario, num_record_qubits: int):
-    if axis == "lambda":
-        if any(v < 0 for v in values):
-            raise ConfigError("sweep.values: lambda values must be >= 0")
-        if base.branch_structure.num_branches != 2:
-            raise ConfigError("sweep.axis: lambda sweeps need a two-branch scenario")
-    elif axis == "env_qubits":
-        for v in values:
-            if not float(v).is_integer() or v < 1:
-                raise ConfigError("sweep.values: env_qubits values must be integers >= 1")
-            parse_scenario_budget = replace(base, env_qubits=int(v))
-            del parse_scenario_budget  # construction alone enforces the budget
-    elif axis == "accessible_k":
-        for v in values:
-            if not float(v).is_integer() or not 0 <= v <= num_record_qubits:
-                raise ConfigError(
-                    f"sweep.values: accessible_k values must be integers in "
-                    f"0..{num_record_qubits}"
-                )
-    elif axis == "weight_c0sq":
-        if any(not 0 <= v <= 1 for v in values):
-            raise ConfigError("sweep.values: weight_c0sq values must be in [0, 1]")
-        if base.branch_structure.num_branches != 2:
-            raise ConfigError("sweep.axis: weight sweeps need a two-branch scenario")
 
 
 def _scenario_payload(scenario: Scenario) -> dict:
@@ -441,17 +426,7 @@ def _sweep_rows(config: SweepConfig, threads: int, trials: "int | None") -> list
             )
         return rows
     for value in config.values:
-        if config.axis == "lambda":
-            scenario = replace(config.base, nonlinear_lambda=float(value))
-        elif config.axis == "env_qubits":
-            scenario = replace(config.base, env_qubits=int(value))
-        else:  # weight_c0sq
-            scenario = replace(
-                config.base,
-                branch_structure=BranchStructure.two_branch(
-                    math.sqrt(float(value)), math.sqrt(1.0 - float(value))
-                ),
-            )
+        scenario = sweep_point(config.base, config.axis, value)
         reports = _run_trials(scenario, trials_per_point, threads)
         summary = _summarize(scenario, reports)
         row = {
@@ -461,9 +436,9 @@ def _sweep_rows(config: SweepConfig, threads: int, trials: "int | None") -> list
             "analytic_post_probabilities": summary["analytic_post_probabilities"],
         }
         if config.axis == "env_qubits":
-            engine = TrialEngine(scenario)
-            row["brain_purity_after_erase"] = engine.brain_purity
-            row["erase_exact"] = bool(abs(engine.brain_purity - 1.0) <= 1e-12)
+            purity = reports[0].brain_purity_after_erase
+            row["brain_purity_after_erase"] = purity
+            row["erase_exact"] = bool(abs(purity - 1.0) <= 1e-12)
         rows.append(row)
     return rows
 
@@ -507,6 +482,12 @@ def _default_threads() -> int:
         return 1
 
 
+def _at_least_one(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="realitysteer",
@@ -516,9 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="report path (overrides config output_path)")
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=_at_least_one, default=_default_threads(),
                        help="worker processes (default: REALITY_STEER_THREADS or 1)")
-        p.add_argument("--trials", type=int, help="override trial count")
+        p.add_argument("--trials", type=_at_least_one, help="override trial count")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     run_p = sub.add_parser("run", help="execute a trial ensemble from a config file")

@@ -36,6 +36,7 @@ import numpy as np
 from .channels import NonlinearFilter, apply_nonlinear_filter
 from .seeding import as_generator, derive_seed, draw_index
 from .statevec import (
+    _X,
     NORM_TOL,
     DensityMatrix,
     GateSpec,
@@ -46,6 +47,7 @@ from .statevec import (
     partial_trace,
     project_onto,
     purity,
+    sample_outcome,
     trace_distance,
     von_neumann_entropy,
 )
@@ -73,31 +75,40 @@ class BranchStructure:
     """Families of alive and dead branches with complex amplitude weights.
 
     Branch indices run alive-first: ``0..num_alive-1`` are alive,
-    ``num_alive..num_alive+num_dead-1`` are dead.
+    ``num_alive..num_alive+num_dead-1`` are dead.  ``weights=None`` means
+    equal weights.
     """
 
     num_alive: int
     num_dead: int
-    weights: np.ndarray
+    weights: "np.ndarray | None"
 
     def __post_init__(self):
-        if self.num_alive < 1 or self.num_dead < 1:
-            raise ValueError("need at least one alive and one dead branch")
-        weights = np.array(self.weights, dtype=np.complex128)
+        # Counts first: the equal weights and the cat width derive from them.
+        for key in ("num_alive", "num_dead"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be >= 1")
+        if self.cat_width > MAX_QUBITS:
+            key = "num_alive" if self.num_alive >= self.num_dead else "num_dead"
+            raise ValueError(
+                f"{key}: {self.num_branches} branches need a {self.cat_width}-qubit "
+                f"cat register, exceeding the {MAX_QUBITS}-qubit budget"
+            )
+        n = self.num_branches
+        weights = np.full(n, 1.0 / math.sqrt(n)) if self.weights is None else self.weights
+        weights = np.array(weights, dtype=np.complex128)
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-        if weights.shape != (self.num_branches,):
-            raise ValueError(
-                f"expected {self.num_branches} weights, got {weights.shape}"
-            )
-        deviation = abs(float(np.sum(np.abs(weights) ** 2)) - 1.0)
-        if deviation > NORM_TOL:
-            raise ValueError(f"branch weights squared-sum off unity by {deviation:.3e}")
+        if weights.shape != (n,):
+            raise ValueError(f"weights: expected {n} weights, got shape {weights.shape}")
+        with np.errstate(over="ignore"):
+            deviation = abs(float(np.sum(np.abs(weights) ** 2)) - 1.0)
+        if not deviation <= NORM_TOL:
+            raise ValueError(f"weights: squared amplitudes sum off unity by {deviation:.3e}")
 
     @classmethod
     def equal(cls, num_alive: int = 1, num_dead: int = 1) -> "BranchStructure":
-        n = num_alive + num_dead
-        return cls(num_alive, num_dead, np.full(n, 1.0 / math.sqrt(n)))
+        return cls(num_alive, num_dead, None)
 
     @classmethod
     def two_branch(cls, alive_amplitude, dead_amplitude) -> "BranchStructure":
@@ -134,7 +145,8 @@ class BranchStructure:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete trial configuration."""
+    """Complete trial configuration.  With ``BranchStructure`` it holds every
+    scenario rule; each message starts with the field it rejects."""
 
     branch_structure: BranchStructure
     env_qubits: int = 1
@@ -146,21 +158,30 @@ class Scenario:
 
     def __post_init__(self):
         if self.env_qubits < 1:
-            raise ValueError("env_qubits must be >= 1")
+            raise ValueError("env_qubits: must be >= 1")
+        # Each copy takes at least one qubit: refuse before laying them out.
+        if self.env_qubits > MAX_QUBITS:
+            raise ValueError(f"env_qubits: {self.env_qubits} copies exceed the {MAX_QUBITS}-qubit budget")
         if self.observe_variant not in ("a", "b", "c"):
-            raise ValueError("observe_variant must be one of a, b, c")
-        if self.nonlinear_lambda is not None:
-            if not np.isfinite(self.nonlinear_lambda) or self.nonlinear_lambda < 0:
-                raise ValueError("nonlinear_lambda must be finite and >= 0")
+            raise ValueError("observe_variant: must be one of a, b, c")
+        lam = self.nonlinear_lambda
+        if lam is not None:
+            # A finite lambda^2 keeps the filtered norm and probabilities finite.
+            if not (lam >= 0 and math.isfinite(lam * lam)):
+                raise ValueError("nonlinear_lambda: must be >= 0 with a finite square")
             if self.branch_structure.num_branches != 2:
                 raise ValueError(
-                    "the nonlinear filter targets a single record qubit and "
+                    "nonlinear_lambda: the filter targets a single record qubit and "
                     "supports two-branch scenarios only"
                 )
+            p0, p1 = np.abs(self.branch_structure.weights) ** 2
+            if math.sqrt(p0 + lam * lam * p1) <= NORM_TOL:
+                raise ValueError("nonlinear_lambda: the filter annihilates both branches")
         total = scenario_layout(self).total_qubits
         if total > MAX_QUBITS:
             raise ValueError(
-                f"scenario needs {total} qubits, exceeding the {MAX_QUBITS}-qubit budget"
+                f"env_qubits: scenario needs {total} qubits, exceeding the "
+                f"{MAX_QUBITS}-qubit budget (reduce env_qubits or the branch count)"
             )
 
 
@@ -327,13 +348,12 @@ def _participation_flag_gates(layout: RegisterLayout, encoding: RecordEncoding,
     if participation is Participation.ALL:
         return [GateSpec.x(flag)]
     value_qubits = _brain_value_qubits(layout, encoding)
-    x_matrix = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     gates = []
     for branch in branch_structure.branches_in(participation):
         pattern = [(branch >> (len(value_qubits) - 1 - i)) & 1 for i in range(len(value_qubits))]
         pre = [GateSpec.x(q) for q, bit in zip(value_qubits, pattern) if bit == 0]
         gates.extend(pre)
-        gates.append(GateSpec.controlled(x_matrix, value_qubits, (flag,)))
+        gates.append(GateSpec.controlled(_X, value_qubits, (flag,)))
         gates.extend(pre)
     return gates
 
@@ -356,9 +376,8 @@ def conditional_clinic(state: StateVector, layout: RegisterLayout,
     flag = layout.qubits("F")[0]
     brain = layout.qubits("B")
     ancilla = _ancilla_record_qubits(layout, encoding)
-    x_matrix = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    gates = [GateSpec.controlled(x_matrix, (flag, b), (a,)) for b, a in zip(brain, ancilla)]
-    gates += [GateSpec.controlled(x_matrix, (flag, a), (b,)) for b, a in zip(brain, ancilla)]
+    gates = [GateSpec.controlled(_X, (flag, b), (a,)) for b, a in zip(brain, ancilla)]
+    gates += [GateSpec.controlled(_X, (flag, a), (b,)) for b, a in zip(brain, ancilla)]
     return _apply_all(state, gates)
 
 
@@ -381,9 +400,7 @@ def reobserve(state: StateVector, layout: RegisterLayout, encoding: RecordEncodi
         raise ValueError("reobserve: brain register is not blank (erasure incomplete)")
     patient = project_onto(state, layout, "B", 0)
     recoupled = rewrite_record(patient, layout, encoding)
-    probs = born_probabilities(recoupled, layout, "B")
-    outcome = draw_index(as_generator(rng), probs)
-    post = project_onto(recoupled, layout, "B", outcome)
+    outcome, post = sample_outcome(recoupled, layout, "B", rng)
     width = layout.size("C")
     branch = outcome & ((1 << width) - 1) if encoding is RecordEncoding.TAGGED else outcome
     return branch, post

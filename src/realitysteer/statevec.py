@@ -112,7 +112,7 @@ class StateVector:
                 f"amplitude vector has length {amps.shape}, expected 2**{self.num_qubits}"
             )
         deviation = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-        if deviation > NORM_TOL:
+        if not deviation <= NORM_TOL:
             raise ValueError(f"squared norm deviates from 1 by {deviation:.3e}")
 
     @property

@@ -310,9 +310,7 @@ def expected_post_probabilities(scenario: Scenario) -> np.ndarray:
     if scenario.nonlinear_lambda is None or scenario.nonlinear_lambda == 1.0:
         return np.abs(weights) ** 2
     if scenario.participation is not Participation.ALL:
-        raise ValueError(
-            "closed-form prediction with a filter needs full participation"
-        )
+        raise ValueError("nonlinear_lambda: closed form with a filter needs full participation")
     p0, p1 = nonlinear_probabilities(
         weights[0], weights[1], scenario.nonlinear_lambda
     )

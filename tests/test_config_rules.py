@@ -1,0 +1,178 @@
+"""Config acceptance as a contract: a config the CLI accepts runs to
+completion (exit 0); a config it refuses exits 2 and names the offending key
+or flag.  Exit 3 (a runtime error) never follows from configuration."""
+
+import contextlib
+import io
+import json
+import math
+import re
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from realitysteer.cli import EXIT_CONFIG, EXIT_OK, SCENARIO_KEYS, main
+
+SCHEMA_KEYS = set(SCENARIO_KEYS) | {
+    "axis", "values", "trials_per_point", "num_record_qubits",
+    "num_trials", "output_path", "emit_per_trial",
+}
+NAMED_KEY = re.compile(r"config error: (?:scenario|sweep|config)\.(\w+)")
+
+
+def run_cli(command, document, directory, flags=("--trials", "3")):
+    """Exit code and stderr of ``realitysteer <command>`` on a config document."""
+    path = directory / "config.json"
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
+    argv = [command, str(path), "--out", str(directory / "report.json"), *flags]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as error:  # argparse refuses flags this way
+            code = error.code
+    return code, err.getvalue()
+
+
+HUGE_INT_WEIGHT = '{"scenario": {"weights": [1' + "0" * 400 + ', 0]}}'
+
+REFUSED = {
+    "env sweep value over budget": (
+        "sweep", {"sweep": {"axis": "env_qubits", "values": [1, 30]}}, (),
+        r"sweep\.values: env_qubits values include 30: env_qubits: .*budget",
+    ),
+    "filter with partial participation": (
+        "run", {"scenario": {"encoding": "tagged", "participation": "dead_only",
+                             "nonlinear_lambda": 2.0}}, (),
+        r"scenario\.nonlinear_lambda: .*participation",
+    ),
+    "zero filter on a dead-only cat": (
+        "run", {"scenario": {"weights": [0, 1], "nonlinear_lambda": 0}}, (),
+        r"scenario\.nonlinear_lambda: .*annihilates",
+    ),
+    "huge weight": ("run", {"scenario": {"weights": [1e200, 0]}}, (), r"scenario\.weights: "),
+    "NaN weight": ("run", {"scenario": {"weights": [math.nan, 1]}}, (), r"scenario\.weights: "),
+    "integer weight past the float range": ("run", HUGE_INT_WEIGHT, (), r"scenario\.weights: "),
+    "lambda with an infinite square": (
+        "run", {"scenario": {"nonlinear_lambda": 1e170}}, (), r"scenario\.nonlinear_lambda: "
+    ),
+    "zero trials flag": ("run", {}, ("--trials", "0"), r"--trials: must be an integer >= 1"),
+    "negative threads flag": ("run", {}, ("--threads", "-3"), r"--threads: must be an integer >= 1"),
+    "plain records, dead-only erase": (
+        "run", {"scenario": {"participation": "dead_only"}}, (),
+        r"scenario\.participation: ",
+    ),
+    "plain records, alive-only sweep": (
+        "sweep", {"scenario": {"participation": "alive_only"},
+                  "sweep": {"axis": "weight_c0sq", "values": [0.5]}}, (),
+        r"scenario\.participation: ",
+    ),
+    "environment count past the budget": (
+        "run", {"scenario": {"env_qubits": 10**30}}, (), r"scenario\.env_qubits: .*budget",
+    ),
+    "branch count past the budget": (
+        "run", {"scenario": {"num_alive": 10**30}}, (), r"scenario\.num_alive: .*budget",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_with_key_named(case, tmp_path):
+    command, document, flags, pattern = REFUSED[case]
+    code, err = run_cli(command, document, tmp_path, flags or ("--trials", "3"))
+    assert code == EXIT_CONFIG, err
+    assert re.search(pattern, err), err
+
+
+# ------------------------------------------------------------------ property
+
+# Accepted registers stay at most 15 qubits (counts <= 2, env_qubits <= 3) so
+# each example runs in milliseconds; every other size is over the budget.
+COUNTS = st.sampled_from([1, 1, 1, 2, 2, 0, -1, 40, 10**30])
+ENV_QUBITS = st.sampled_from([1, 2, 3, 0, -2, 8, 23, 10**9])
+SPECIAL = [math.nan, math.inf, -math.inf, 1e200, -1e200, 0.0]
+LAMBDAS = st.one_of(
+    st.floats(0.0, 5.0),
+    st.sampled_from([
+        0.0, 1.0, -1.0, math.nan, math.inf, -math.inf,
+        1e-200, 1e-10, 1e154, math.sqrt(sys.float_info.max), 1e170,
+    ]),
+)
+SWEEP_VALUES = {
+    "lambda": LAMBDAS,
+    "env_qubits": st.sampled_from([1, 2, 3, 1.5, 0, -2, 8, 23, 10**9, math.nan]),
+    "weight_c0sq": st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, -0.1, 1.5, math.nan, math.inf]),
+    ),
+}
+
+
+@st.composite
+def weights(draw, num_branches):
+    kind = draw(st.sampled_from(["normalized"] * 4 + ["special", "wrong_length"]))
+    size = num_branches + (1 if kind == "wrong_length" else 0)
+    magnitudes = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    total = math.sqrt(sum(m * m for m in magnitudes)) or 1.0
+    entries = [m / total for m in magnitudes]
+    if sum(entries) == 0.0:
+        entries[0] = 1.0
+    if kind == "special":
+        entries[draw(st.integers(0, size - 1))] = draw(st.sampled_from(SPECIAL))
+    if draw(st.booleans()):  # one entry as an [re, im] pair
+        entries[0] = [0.0, entries[0]]
+    return entries
+
+
+@st.composite
+def scenario_blocks(draw):
+    block = {}
+    for key in ("num_alive", "num_dead"):
+        if draw(st.booleans()):
+            block[key] = draw(COUNTS)
+    if draw(st.booleans()):
+        branches = block.get("num_alive", 1) + block.get("num_dead", 1)
+        if 2 <= branches <= 4:
+            block["weights"] = draw(weights(branches))
+        else:
+            block["weights"] = [1.0, 0.0]
+    if draw(st.booleans()):
+        block["env_qubits"] = draw(ENV_QUBITS)
+    block["encoding"] = draw(st.sampled_from(["plain", "tagged"]))
+    block["participation"] = draw(st.sampled_from(["all", "all", "all", "dead_only", "alive_only"]))
+    block["observe_variant"] = draw(st.sampled_from(["a", "b", "c"]))
+    if draw(st.booleans()):
+        block["nonlinear_lambda"] = draw(LAMBDAS)
+    block["rng_seed"] = draw(st.integers(-(2**63), 2**64))
+    return block
+
+
+@st.composite
+def documents(draw):
+    document = {"scenario": draw(scenario_blocks())}
+    if draw(st.booleans()):
+        document["num_trials"] = draw(st.sampled_from([5, 5, 5, 0, -3]))
+        return "run", document
+    axis = draw(st.sampled_from(sorted(SWEEP_VALUES)))
+    document["sweep"] = {
+        "axis": axis,
+        "values": draw(st.lists(SWEEP_VALUES[axis], min_size=1, max_size=3)),
+        "trials_per_point": draw(st.sampled_from([2, 2, 2, 0])),
+    }
+    return "sweep", document
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=documents())
+def test_accepted_configs_run_and_refused_ones_name_their_key(case, tmp_path_factory):
+    command, document = case
+    code, err = run_cli(command, document, tmp_path_factory.mktemp("config"))
+    assert code in (EXIT_OK, EXIT_CONFIG), err
+    if code == EXIT_CONFIG:
+        named = NAMED_KEY.search(err)
+        assert named and named.group(1) in SCHEMA_KEYS, err
