@@ -8,9 +8,10 @@ Subcommands::
     realitysteer sweep <config.json>  [--out P] [--threads N] [--trials N] [--format json|csv]
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 configuration or usage error, 3 runtime error.  ``--threads`` defaults to
-the ``REALITY_STEER_THREADS`` environment variable; it and ``--trials`` must
-be >= 1.
+2 configuration or usage error, 3 runtime error.  ``--trials`` must be >= 1.
+``--threads`` and its default, the ``REALITY_STEER_THREADS`` environment
+variable, are validated by the same rule and otherwise ignored: an ensemble
+is drawn as one vectorized batch, faster than worker processes start.
 
 Config files are JSON.  A run config holds a ``scenario`` block plus
 ``num_trials`` / ``output_path`` / ``emit_per_trial``; a sweep config adds a
@@ -37,7 +38,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
@@ -49,8 +49,8 @@ from .protocol import (
     Participation,
     RecordEncoding,
     Scenario,
+    TrialEngine,
     decoupling_sweep,
-    run_ensemble,
     scenario_layout,
 )
 from .verify import CHECK_NAMES, DEFAULT_SEED, expected_post_probabilities, run_checks
@@ -203,6 +203,12 @@ def parse_config(path: str):
     # contradict the analytic column.  Demo 02 shows it through the library.
     if scenario.encoding is RecordEncoding.PLAIN and scenario.participation is not Participation.ALL:
         raise ConfigError("scenario.participation: partial participation needs encoding 'tagged'")
+    # The report echoes this scenario, sweeps of any axis included: it must
+    # be one a run would accept.
+    try:
+        expected_post_probabilities(scenario)
+    except ValueError as error:
+        raise ConfigError(f"scenario.{error}") from None
     if "sweep" in document:
         block = document["sweep"]
         if not isinstance(block, dict):
@@ -240,10 +246,6 @@ def parse_config(path: str):
             trials_per_point=trials_per_point,
             num_record_qubits=num_record_qubits,
         )
-    try:
-        expected_post_probabilities(scenario)
-    except ValueError as error:
-        raise ConfigError(f"scenario.{error}") from None
     num_trials = _get(document, "num_trials", int, "config", default=1000)
     if num_trials < 1:
         raise ConfigError("config.num_trials: must be >= 1")
@@ -267,50 +269,31 @@ def _scenario_payload(scenario: Scenario) -> dict:
     }
 
 
-def _ensemble_chunk(args):
-    scenario, count, first = args
-    return run_ensemble(scenario, count, first_trial=first)
-
-
 def _run_trials(scenario: Scenario, num_trials: int, threads: int):
-    """Per-trial seeding makes chunked parallel execution agree with serial."""
-    if threads <= 1 or num_trials < 2 * threads:
-        return run_ensemble(scenario, num_trials)
-    chunk = math.ceil(num_trials / threads)
-    jobs = [
-        (scenario, min(chunk, num_trials - first), first)
-        for first in range(0, num_trials, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_ensemble_chunk, jobs))
-    return [report for part in parts for report in part]
+    """The ensemble as one ``TrialBatch``.  ``threads`` is accepted and
+    ignored: the batch is drawn faster than worker processes would start."""
+    return TrialEngine(scenario).run_batch(scenario.rng_seed, 0, num_trials)
 
 
-def _summarize(scenario: Scenario, reports) -> dict:
-    structure = scenario.branch_structure
-    labels = [structure.label(k) for k in range(structure.num_branches)]
-    num = len(reports)
-    pre_counts = {label: 0 for label in labels}
-    post_counts = {label: 0 for label in labels}
-    for report in reports:
-        pre_counts[report.pre_outcome] += 1
-        post_counts[report.post_outcome] += 1
+def _summarize(scenario: Scenario, batch) -> dict:
+    engine = batch.engine
+    labels = engine.labels
+    num = len(batch)
+    pre_counts = np.bincount(batch.pre, minlength=len(labels)).tolist()
+    post_counts = np.bincount(batch.post, minlength=len(labels)).tolist()
     analytic = expected_post_probabilities(scenario)
     return {
         "num_trials": num,
-        "pre_outcome_frequencies": {k: v / num for k, v in pre_counts.items()},
-        "post_outcome_frequencies": {k: v / num for k, v in post_counts.items()},
+        "pre_outcome_frequencies": {k: v / num for k, v in zip(labels, pre_counts)},
+        "post_outcome_frequencies": {k: v / num for k, v in zip(labels, post_counts)},
         "analytic_post_probabilities": {
             label: float(analytic[k]) for k, label in enumerate(labels)
         },
-        "erased_fraction": sum(r.erased for r in reports) / num,
-        "memory_consistent_fraction": sum(r.memory_consistent for r in reports) / num,
-        "mean_brain_purity_after_erase": float(
-            np.mean([r.brain_purity_after_erase for r in reports])
-        ),
-        "mean_brain_entropy_bits": float(
-            np.mean([r.brain_entropy_after_erase for r in reports])
-        ),
+        "erased_fraction": int(np.count_nonzero(batch.erased)) / num,
+        "memory_consistent_fraction": int(np.count_nonzero(batch.consistent)) / num,
+        # Means of n equal floats, summed as per-trial means were, keep the bytes.
+        "mean_brain_purity_after_erase": float(np.mean(np.full(num, engine.brain_purity))),
+        "mean_brain_entropy_bits": float(np.mean(np.full(num, engine.brain_entropy))),
     }
 
 
@@ -344,8 +327,8 @@ def _write_csv_rows(path: str, header, rows):
 def cmd_run(config: RunConfig, out: "str | None" = None, threads: int = 1,
             trials: "int | None" = None, fmt: str = "json") -> int:
     num_trials = trials if trials is not None else config.num_trials
-    reports = _run_trials(config.scenario, num_trials, threads)
-    summary = _summarize(config.scenario, reports)
+    batch = _run_trials(config.scenario, num_trials, threads)
+    summary = _summarize(config.scenario, batch)
     payload = {
         "kind": "run",
         "config": {
@@ -356,7 +339,7 @@ def cmd_run(config: RunConfig, out: "str | None" = None, threads: int = 1,
         "summary": summary,
     }
     if config.emit_per_trial:
-        payload["per_trial"] = [asdict(report) for report in reports]
+        payload["per_trial"] = batch.rows()
     path = out or config.output_path or "run_report.json"
     if fmt == "csv":
         rows = [[key, json.dumps(value, sort_keys=True)] for key, value in sorted(summary.items())]
@@ -427,8 +410,8 @@ def _sweep_rows(config: SweepConfig, threads: int, trials: "int | None") -> list
         return rows
     for value in config.values:
         scenario = sweep_point(config.base, config.axis, value)
-        reports = _run_trials(scenario, trials_per_point, threads)
-        summary = _summarize(scenario, reports)
+        batch = _run_trials(scenario, trials_per_point, threads)
+        summary = _summarize(scenario, batch)
         row = {
             config.axis: value,
             "num_trials": trials_per_point,
@@ -436,7 +419,7 @@ def _sweep_rows(config: SweepConfig, threads: int, trials: "int | None") -> list
             "analytic_post_probabilities": summary["analytic_post_probabilities"],
         }
         if config.axis == "env_qubits":
-            purity = reports[0].brain_purity_after_erase
+            purity = batch.engine.brain_purity
             row["brain_purity_after_erase"] = purity
             row["erase_exact"] = bool(abs(purity - 1.0) <= 1e-12)
         rows.append(row)
@@ -474,18 +457,30 @@ def cmd_sweep(config: SweepConfig, out: "str | None" = None, threads: int = 1,
     return EXIT_OK
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("REALITY_STEER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+THREADS_VARIABLE = "REALITY_STEER_THREADS"
 
 
 def _at_least_one(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _threads_variable() -> int:
+    """``REALITY_STEER_THREADS`` under the ``--threads`` rule; 1 when unset."""
+    try:
+        return _at_least_one(os.environ.get(THREADS_VARIABLE, "1"))
+    except argparse.ArgumentTypeError as error:
+        raise ConfigError(f"{THREADS_VARIABLE}: {error}") from None
+
+
+def _default_threads() -> "int | None":
+    """The ``--threads`` default; None for a bad variable, which ``main``
+    refuses when no ``--threads`` flag replaces it."""
+    try:
+        return _threads_variable()
+    except ConfigError:
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="report path (overrides config output_path)")
         p.add_argument("--threads", type=_at_least_one, default=_default_threads(),
-                       help="worker processes (default: REALITY_STEER_THREADS or 1)")
+                       help="accepted for compatibility and ignored; must be >= 1 "
+                            "(default: REALITY_STEER_THREADS or 1)")
         p.add_argument("--trials", type=_at_least_one, help="override trial count")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -522,6 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) is None:
+            _threads_variable()
         if args.command == "run":
             config = parse_config(args.config)
             if not isinstance(config, RunConfig):

@@ -28,13 +28,20 @@ are mutually orthogonal.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .channels import NonlinearFilter, apply_nonlinear_filter
-from .seeding import as_generator, derive_seed, draw_index
+from .seeding import (
+    as_generator,
+    clamped_cdf,
+    derive_seed,
+    derive_seeds,
+    draw_index,
+    first_two_uniforms,
+)
 from .statevec import (
     _X,
     NORM_TOL,
@@ -435,9 +442,10 @@ class TrialEngine:
 
     The unitary stages and all state-level diagnostics are seed-independent,
     so they are evaluated once; ``run(seed)`` only draws the observer's
-    pre- and post-branch from the precomputed Born tables.  ``run_trial``
-    and ``run_ensemble`` are thin wrappers, which keeps large ensembles
-    cheap without changing per-trial semantics.
+    pre- and post-branch from the precomputed Born tables.  ``run_batch``
+    draws a range of an ensemble's trials as columns, each equal to what
+    ``run`` gives for that trial's seed; ``run(seed)`` stays the scalar
+    reference.
     """
 
     def __init__(self, scenario: Scenario):
@@ -507,6 +515,21 @@ class TrialEngine:
                 self.filtered, branch
             )
 
+        # Lookup tables over branch indices for run_batch; -1 marks a
+        # memory check never evaluated, where run() raises a KeyError.
+        branches = range(structure.num_branches)
+        self.labels = tuple(structure.label(b) for b in branches)
+        self.cat_after_stay = tuple(
+            tuple(1.0 if b == pre else 0.0 for b in branches) for pre in branches
+        )
+        self._pre_cdf = clamped_cdf(self.pre_probs)
+        self._post_cdf = None if self.post_probs is None else clamped_cdf(self.post_probs)
+        self._participates = np.array([b in self.participating for b in branches])
+        self._ok_patient = np.array(
+            [self._memory_ok_patient.get(b, -1) for b in branches], dtype=np.int8
+        )
+        self._ok_stay = np.array([self._memory_ok_stay.get(b, -1) for b in branches], dtype=np.int8)
+
     def _branch_probs_from_brain(self, state: StateVector) -> np.ndarray:
         structure, encoding = self.structure, self.scenario.encoding
         table = born_probabilities(state, self.layout, "B")
@@ -551,18 +574,15 @@ class TrialEngine:
         erased = pre in self.participating
         if erased:
             post = draw_index(rng, self.post_probs)
-            cat_after = tuple(self.cat_after_patient)
+            cat_after = self.cat_after_patient
             consistent = self._memory_ok_patient[post]
         else:
             post = pre
-            cat_after = tuple(
-                1.0 if branch == pre else 0.0
-                for branch in range(self.structure.num_branches)
-            )
+            cat_after = self.cat_after_stay[pre]
             consistent = self._memory_ok_stay[pre]
         return TrialReport(
-            pre_outcome=self.structure.label(pre),
-            post_outcome=self.structure.label(post),
+            pre_outcome=self.labels[pre],
+            post_outcome=self.labels[post],
             pre_branch=pre,
             post_branch=post,
             erased=erased,
@@ -572,6 +592,79 @@ class TrialEngine:
             cat_marginal_after=cat_after,
             memory_consistent=consistent,
         )
+
+    def run_batch(self, base_seed: int, first: int, count: int) -> "TrialBatch":
+        """Trials ``first..first+count-1`` of the ensemble seeded by
+        ``base_seed``.  Trial ``i`` draws the same two uniforms as
+        ``run(derive_seed(base_seed, i))``, from the same cdfs, so its
+        columns equal that report field by field.  Where ``run`` would
+        raise, this raises ``RuntimeError("trial i failed: ...")`` for the
+        first such trial."""
+        u_pre, u_post = first_two_uniforms(derive_seeds(base_seed, first, count))
+        pre = np.searchsorted(self._pre_cdf, u_pre, side="right")
+        erased = self._participates[pre]
+        post, patient_ok = pre, -1
+        if self._post_cdf is not None:
+            post = np.where(erased, np.searchsorted(self._post_cdf, u_post, side="right"), pre)
+            patient_ok = self._ok_patient[post]
+        consistent = np.where(erased, patient_ok, self._ok_stay[pre])
+        failed = np.flatnonzero(consistent < 0)
+        if failed.size:
+            index = first + int(failed[0])
+            try:
+                self.run(derive_seed(base_seed, index))
+            except Exception as error:
+                raise RuntimeError(f"trial {index} failed: {error}") from error
+            raise RuntimeError(f"trial {index} failed: batch and scalar draws disagree")
+        return TrialBatch(self, pre, post, erased, consistent == 1)
+
+
+@dataclass(frozen=True, eq=False)
+class TrialBatch:
+    """Consecutive trials of one ensemble as columns.  What every trial
+    shares (labels, brain purity and entropy, cat marginals) is held once,
+    by ``engine``.  Two batches are equal, as a plain bool, when their
+    scenarios are equal and their columns hold the same outcomes."""
+
+    engine: TrialEngine
+    pre: np.ndarray
+    post: np.ndarray
+    erased: np.ndarray
+    consistent: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pre)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrialBatch):
+            return NotImplemented
+        columns = ("pre", "post", "erased", "consistent")
+        return (
+            self.engine.scenario == other.engine.scenario
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
+        )
+
+    def _fields(self):
+        """Per trial, ``TrialReport``'s fields in order as native Python values."""
+        engine = self.engine
+        labels = engine.labels
+        columns = (self.pre.tolist(), self.post.tolist(), self.erased.tolist(),
+                   self.consistent.tolist())
+        for pre, post, erased, consistent in zip(*columns):
+            yield (
+                labels[pre], labels[post], pre, post, erased,
+                engine.brain_purity, engine.brain_entropy, engine.cat_before,
+                engine.cat_after_patient if erased else engine.cat_after_stay[pre],
+                consistent,
+            )
+
+    def reports(self) -> list:
+        return [TrialReport(*values) for values in self._fields()]
+
+    def rows(self) -> list:
+        """``asdict(report)`` of each trial's report, without the reports."""
+        names = [field.name for field in fields(TrialReport)]
+        return [dict(zip(names, values)) for values in self._fields()]
 
 
 def run_trial(scenario: Scenario) -> TrialReport:
@@ -584,20 +677,13 @@ def run_ensemble(scenario: Scenario, num_trials: int, *, base_seed: "int | None"
     """Independent trials with per-trial seeds ``derive_seed(base, i)``.
 
     Trial ``i`` is identical to ``run_trial`` on the same scenario with
-    ``rng_seed = derive_seed(base, i)``, so serial, chunked, and parallel
-    ensembles all agree.
+    ``rng_seed = derive_seed(base, i)``, so serial and chunked ensembles
+    agree.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
     base = scenario.rng_seed if base_seed is None else base_seed
-    engine = TrialEngine(scenario)
-    reports = []
-    for index in range(first_trial, first_trial + num_trials):
-        try:
-            reports.append(engine.run(derive_seed(base, index)))
-        except Exception as error:
-            raise RuntimeError(f"trial {index} failed: {error}") from error
-    return reports
+    return TrialEngine(scenario).run_batch(base, first_trial, num_trials).reports()
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .protocol import (
     observe,
     prepare_cat,
     rewrite_record,
-    run_ensemble,
     scenario_layout,
     spread_to_environment,
 )
@@ -324,10 +323,8 @@ def born_statistics_test(scenario: "Scenario | None" = None, num_trials: int = 2
     if num_trials < 1000:
         raise ValueError("num_trials must be >= 1000")
     expected = expected_post_probabilities(scenario)
-    reports = run_ensemble(scenario, num_trials)
-    counts = np.zeros(scenario.branch_structure.num_branches)
-    for report in reports:
-        counts[report.post_branch] += 1
+    batch = TrialEngine(scenario).run_batch(scenario.rng_seed, 0, num_trials)
+    counts = np.bincount(batch.post, minlength=scenario.branch_structure.num_branches).astype(float)
     support = expected > 0
     stray = float(counts[~support].sum())
     if support.sum() < 2:

@@ -75,6 +75,12 @@ REFUSED = {
     "branch count past the budget": (
         "run", {"scenario": {"num_alive": 10**30}}, (), r"scenario\.num_alive: .*budget",
     ),
+    "accessible_k sweep over a base a run refuses": (
+        "sweep", {"scenario": {"encoding": "tagged", "participation": "dead_only",
+                               "nonlinear_lambda": 2.0},
+                  "sweep": {"axis": "accessible_k", "values": [1], "num_record_qubits": 2}}, (),
+        r"scenario\.nonlinear_lambda: .*participation",
+    ),
 }
 
 
@@ -84,6 +90,14 @@ def test_refused_with_key_named(case, tmp_path):
     code, err = run_cli(command, document, tmp_path, flags or ("--trials", "3"))
     assert code == EXIT_CONFIG, err
     assert re.search(pattern, err), err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_bad_threads_variable_refused(value, tmp_path, monkeypatch):
+    monkeypatch.setenv("REALITY_STEER_THREADS", value)
+    code, err = run_cli("run", {}, tmp_path)
+    assert code == EXIT_CONFIG, err
+    assert re.search(rf"REALITY_STEER_THREADS: must be an integer >= 1, got '{value}'", err), err
 
 
 # ------------------------------------------------------------------ property
