@@ -595,7 +595,7 @@ class TrialEngine:
 
     def run_batch(self, base_seed: int, first: int, count: int) -> "TrialBatch":
         """Trials ``first..first+count-1`` of the ensemble seeded by
-        ``base_seed``.  Trial ``i`` draws the same two uniforms as
+        ``base_seed``.  Trial ``i`` draws the same uniforms as
         ``run(derive_seed(base_seed, i))``, from the same cdfs, so its
         columns equal that report field by field.  Where ``run`` would
         raise, this raises ``RuntimeError("trial i failed: ...")`` for the

@@ -101,13 +101,14 @@ def test_batch_fails_at_the_first_trial_the_scalar_path_rejects():
     # a KeyError for every trial that draws alive.
     del engine._memory_ok_stay[0]
     engine._ok_stay[0] = -1
-    first = 40
-    rejected = []
-    for i in range(first, first + 100):
+    errors = {}
+    for i in range(100):
         try:
             engine.run(derive_seed(9, i))
         except KeyError as error:
-            rejected.append((i, error))
-    index, error = rejected[0]
-    with pytest.raises(RuntimeError, match=rf"^trial {index} failed: {error}$"):
-        engine.run_batch(9, first, 100)
+            errors[i] = error
+    # Start the batch at an accepted trial, so the failing one is not its first.
+    first = min(set(range(100)) - set(errors))
+    index = min(i for i in errors if i > first)
+    with pytest.raises(RuntimeError, match=rf"^trial {index} failed: {errors[index]}$"):
+        engine.run_batch(9, first, 100 - first)
