@@ -12,7 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from realitysteer.cli import RunConfig, canonical_payload_bytes, cmd_run, cmd_sweep, parse_config
+from realitysteer.cli import (
+    RunConfig,
+    canonical_payload_bytes,
+    cmd_run,
+    cmd_sweep,
+    cmd_verify,
+    parse_config,
+)
+from realitysteer.verify import DEFAULT_SEED
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -36,6 +44,18 @@ def test_payload_digest(name, tmp_path):
     assert command(config, out=str(out), trials=TRIALS.get(name)) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
     assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == DIGESTS[name]
+
+
+# The full verify suite at the default seed.  Its no_signalling check is the
+# one report path that takes the partial trace of a density matrix.
+VERIFY_DIGEST = "daab7f229a761880a7a64030f06f5721c18fc3cac436fe33d3d796368e0d005f"
+
+
+def test_verify_payload_digest(tmp_path):
+    out = tmp_path / "verify.json"
+    assert cmd_verify(("all",), DEFAULT_SEED, out=str(out)) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == VERIFY_DIGEST
 
 
 def test_every_config_is_pinned():
