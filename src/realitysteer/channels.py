@@ -83,17 +83,6 @@ def validate_cptp(channel: KrausChannel, tolerance: float = NORM_TOL) -> CptpChe
     return CptpCheck(residual <= tolerance, residual)
 
 
-def _rows_apply(entries: np.ndarray, num_qubits: int, targets, matrix: np.ndarray) -> np.ndarray:
-    """Left-multiply an operator on the row axes of a (2^n, 2^n) matrix."""
-    k = len(targets)
-    dim = 2**num_qubits
-    tensor = entries.reshape([2] * num_qubits + [dim])
-    tensor = np.moveaxis(tensor, targets, range(k))
-    tensor = matrix @ tensor.reshape(2**k, -1)
-    tensor = np.moveaxis(tensor.reshape([2] * num_qubits + [dim]), range(k), targets)
-    return np.ascontiguousarray(tensor).reshape(dim, dim)
-
-
 def apply_local_channel(state, layout: RegisterLayout, subsystem: str, channel: KrausChannel) -> DensityMatrix:
     """Apply a channel to one subsystem, identity elsewhere; returns the full
     register's density matrix.
@@ -119,9 +108,9 @@ def apply_local_channel(state, layout: RegisterLayout, subsystem: str, channel: 
             out += np.outer(branch, branch.conj())
     else:
         for op in channel.operators:
-            left = _rows_apply(state.entries, n, targets, op)
+            left = _apply_matrix(state.entries, n, targets, op)
             # right-multiplication by K† via transposes: rho K† = (conj(K) rho^T)^T
-            out += _rows_apply(left.T, n, targets, op.conj()).T
+            out += _apply_matrix(left.T, n, targets, op.conj()).T
     return DensityMatrix(out, n)
 
 

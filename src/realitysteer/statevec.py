@@ -6,6 +6,10 @@ Conventions fixed here and relied on everywhere else:
   significant bit of a basis index.  For a layout listing subsystems
   (C, B, E) of one qubit each, the basis label "011" (C=0, B=1, E=1) sits
   at index 3.
+- Every subsystem kernel (gates, channels, Born tables, projection, partial
+  trace) sees the register as a ``(2^k, rest)`` matrix whose row index runs
+  over the subsystem's k qubits in listed order, via ``_qubits_first``; a
+  density matrix's rows and columns are each such a register.
 - Complex arithmetic is 64-bit floating point.  Norms, traces, and
   unitarity are enforced within ``NORM_TOL``; exact circuit identities are
   compared at ``EXACT_TOL``.
@@ -235,14 +239,26 @@ class GateSpec:
         return full
 
 
-def _apply_matrix(amps: np.ndarray, num_qubits: int, targets, matrix: np.ndarray) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the listed qubit axes of a state vector."""
-    k = len(targets)
-    psi = amps.reshape([2] * num_qubits)
-    psi = np.moveaxis(psi, targets, range(k))
-    psi = matrix @ psi.reshape(2**k, -1)
-    psi = np.moveaxis(psi.reshape([2] * num_qubits), range(k), targets)
-    return np.ascontiguousarray(psi).reshape(-1)
+def _qubits_first(array: np.ndarray, num_qubits: int, qubits) -> np.ndarray:
+    """View a (2^n,) or (2^n, d) array as a (2^k, rest) matrix whose row
+    index runs over the listed qubits, in listed order."""
+    tensor = array.reshape((2,) * num_qubits + array.shape[1:])
+    tensor = np.moveaxis(tensor, qubits, range(len(qubits)))
+    return tensor.reshape(2 ** len(qubits), -1)
+
+
+def _qubits_back(block: np.ndarray, num_qubits: int, qubits, shape) -> np.ndarray:
+    """Inverse of :func:`_qubits_first`: a contiguous array of ``shape``."""
+    tensor = block.reshape((2,) * num_qubits + shape[1:])
+    tensor = np.moveaxis(tensor, range(len(qubits)), qubits)
+    return np.ascontiguousarray(tensor).reshape(shape)
+
+
+def _apply_matrix(array: np.ndarray, num_qubits: int, targets, matrix: np.ndarray) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix to the listed qubits of a state vector, or of
+    the rows of a density matrix."""
+    block = matrix @ _qubits_first(array, num_qubits, targets)
+    return _qubits_back(block, num_qubits, targets, array.shape)
 
 
 def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
@@ -304,16 +320,13 @@ def init_register(layout: RegisterLayout, basis_label) -> StateVector:
     return StateVector(amps, layout.total_qubits)
 
 
-def _subsystem_axes(layout: RegisterLayout, keep) -> tuple:
+def _subsystem_qubits(layout: RegisterLayout, keep) -> list:
     if isinstance(keep, str):
         keep = [keep]
-    keep = list(keep)
-    if not keep:
+    qubits = [q for name in keep for q in layout.qubits(name)]
+    if not qubits:
         raise ValueError("keep list must not be empty")
-    qubits = []
-    for name in keep:
-        qubits.extend(layout.qubits(name))
-    return keep, qubits
+    return qubits
 
 
 def partial_trace(state, layout: RegisterLayout, keep) -> DensityMatrix:
@@ -321,42 +334,25 @@ def partial_trace(state, layout: RegisterLayout, keep) -> DensityMatrix:
 
     Accepts a StateVector or DensityMatrix over the full layout.
     """
-    _, keep_qubits = _subsystem_axes(layout, keep)
+    keep_qubits = _subsystem_qubits(layout, keep)
     n = layout.total_qubits
     if isinstance(state, StateVector):
-        psi = state.amplitudes.reshape([2] * n)
-        psi = np.moveaxis(psi, keep_qubits, range(len(keep_qubits)))
-        block = psi.reshape(2 ** len(keep_qubits), -1)
+        block = _qubits_first(state.amplitudes, n, keep_qubits)
         reduced = block @ block.conj().T
     else:
-        kept = set(keep_qubits)
-        tensor = state.entries.reshape([2] * (2 * n))
-        row_labels = [0] * n
-        next_label = 0
-        for q in range(n):
-            row_labels[q] = next_label
-            next_label += 1
-        col_labels = list(row_labels)
-        for q in range(n):
-            if q not in kept:
-                continue
-            col_labels[q] = next_label
-            next_label += 1
-        out_labels = [row_labels[q] for q in keep_qubits] + [
-            col_labels[q] for q in keep_qubits
-        ]
-        reduced = np.einsum(tensor, row_labels + col_labels, out_labels)
-        d = 2 ** len(keep_qubits)
-        reduced = reduced.reshape(d, d)
+        # Kept qubits first on the rows, then on the columns: the entries
+        # become [b, j, a, i] for rho[(a, i), (b, j)], summed over i == j.
+        rows = _qubits_first(state.entries, n, keep_qubits)
+        d, rest = rows.shape[0], 2**n // rows.shape[0]
+        both = _qubits_first(rows.reshape(d * rest, -1).T, n, keep_qubits)
+        reduced = np.einsum("biai->ab", both.reshape(d, rest, d, rest))
     return DensityMatrix(reduced, len(keep_qubits))
 
 
 def born_probabilities(state: StateVector, layout: RegisterLayout, subsystem: str) -> np.ndarray:
     """Measurement probability table over a subsystem's computational basis."""
-    qubits = layout.qubits(subsystem)
-    psi = state.amplitudes.reshape([2] * state.num_qubits)
-    psi = np.moveaxis(psi, qubits, range(len(qubits)))
-    probs = np.sum(np.abs(psi.reshape(2 ** len(qubits), -1)) ** 2, axis=1)
+    block = _qubits_first(state.amplitudes, state.num_qubits, layout.qubits(subsystem))
+    probs = np.sum(np.abs(block) ** 2, axis=1)
     total_deviation = abs(float(probs.sum()) - 1.0)
     if total_deviation > NORM_TOL:
         raise AssertionError(f"probability table sums off unity by {total_deviation:.3e}")
@@ -369,19 +365,16 @@ def project_onto(state: StateVector, layout: RegisterLayout, subsystem: str, val
     if not 0 <= value < 2 ** len(qubits):
         raise ValueError(f"value {value} out of range for subsystem {subsystem!r}")
     n = state.num_qubits
-    psi = np.array(state.amplitudes)
-    psi = np.moveaxis(psi.reshape([2] * n), qubits, range(len(qubits)))
-    block = psi.reshape(2 ** len(qubits), -1)
+    # A view of the read-only amplitudes when the qubits already lead.
+    block = _qubits_first(state.amplitudes, n, qubits)
     weight = float(np.sum(np.abs(block[value]) ** 2))
     if weight <= NORM_TOL:
         raise ValueError(
             f"projection of {subsystem!r} onto value {value} has probability ~0"
         )
-    kept = block[value] / np.sqrt(weight)
-    block[...] = 0.0
-    block[value] = kept
-    psi = np.moveaxis(block.reshape([2] * n), range(len(qubits)), qubits)
-    return StateVector(np.ascontiguousarray(psi).reshape(-1), n)
+    projected = np.zeros_like(block)
+    projected[value] = block[value] / np.sqrt(weight)
+    return StateVector(_qubits_back(projected, n, qubits, state.amplitudes.shape), n)
 
 
 def sample_outcome(state: StateVector, layout: RegisterLayout, subsystem: str, rng):
