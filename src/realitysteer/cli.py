@@ -302,6 +302,12 @@ def canonical_payload_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, indent=2).encode("utf-8")
 
 
+def _open_report(path: str, mode: str, **kwargs):
+    """Open a report file for writing, creating its directory first."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, mode, **kwargs)
+
+
 def _write_document(payload: dict, path: str):
     document = {
         "payload": payload,
@@ -310,15 +316,12 @@ def _write_document(payload: dict, path: str):
             "package_version": __version__,
         },
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    with _open_report(path, "wb") as handle:
+        handle.write(canonical_payload_bytes(document) + b"\n")
 
 
 def _write_csv_rows(path: str, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _open_report(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)

@@ -358,10 +358,10 @@ CHECK_NAMES = (
 
 def run_checks(names=("all",), rng_seed: int = DEFAULT_SEED) -> list:
     """Run named checks (or all six) with their default configurations."""
-    selected = list(CHECK_NAMES) if "all" in names else list(names)
-    unknown = [name for name in selected if name not in CHECK_NAMES]
+    unknown = [name for name in names if name != "all" and name not in CHECK_NAMES]
     if unknown:
         raise KeyError(f"unknown check selector(s): {', '.join(unknown)}")
+    selected = list(CHECK_NAMES) if "all" in names else list(names)
     verdicts = []
     for name in selected:
         if name == "circuit_equivalence":

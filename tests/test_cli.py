@@ -242,6 +242,25 @@ class TestMainEntry:
         assert main(["verify", "--suite", "bogus"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_verify_unknown_selector_beside_all(self, capsys):
+        assert main(["verify", "--suite", "all,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert "bogus" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_csv_report_into_missing_directory(self, tmp_path):
+        path = write_config(tmp_path, "c.json", CANONICAL)
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["run", path, "--format", "csv", "--out", str(out), "--trials", "50"]) == 0
+        assert out.read_text().startswith("quantity,value")
+
+    def test_json_report_bytes_are_canonical(self, tmp_path):
+        path = write_config(tmp_path, "c.json", dict(CANONICAL, emit_per_trial=True))
+        out = tmp_path / "r.json"
+        assert main(["run", path, "--out", str(out), "--trials", "40"]) == 0
+        written = out.read_bytes()
+        assert written == canonical_payload_bytes(json.loads(written)) + b"\n"
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"scenario": {"env_qubits": 0}})
         assert main(["run", path]) == 2
