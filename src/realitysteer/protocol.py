@@ -394,6 +394,12 @@ def rewrite_record(state: StateVector, layout: RegisterLayout, encoding: RecordE
     return _apply_all(state, _record_write_gates(layout, encoding, "C"))
 
 
+def _recouple_patient(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding) -> StateVector:
+    """The patient path: condition on the blank-memory observer, then write
+    a fresh record of the cat."""
+    return rewrite_record(project_onto(state, layout, "B", 0), layout, encoding)
+
+
 def reobserve(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding, rng):
     """Fresh record write followed by a Born draw of the brain register.
 
@@ -405,8 +411,7 @@ def reobserve(state: StateVector, layout: RegisterLayout, encoding: RecordEncodi
     blank_mass = float(born_probabilities(state, layout, "B")[0])
     if blank_mass <= NORM_TOL:
         raise ValueError("reobserve: brain register is not blank (erasure incomplete)")
-    patient = project_onto(state, layout, "B", 0)
-    recoupled = rewrite_record(patient, layout, encoding)
+    recoupled = _recouple_patient(state, layout, encoding)
     outcome, post = sample_outcome(recoupled, layout, "B", rng)
     width = layout.size("C")
     branch = outcome & ((1 << width) - 1) if encoding is RecordEncoding.TAGGED else outcome
@@ -495,9 +500,8 @@ class TrialEngine:
         self.cat_after_patient = None
         self._memory_ok_patient = {}
         if participating_mass > NORM_TOL:
-            patient = project_onto(self.filtered, self.layout, "B", 0)
-            self.patient_recoupled = rewrite_record(
-                patient, self.layout, scenario.encoding
+            self.patient_recoupled = _recouple_patient(
+                self.filtered, self.layout, scenario.encoding
             )
             self.post_probs = self._branch_probs_from_brain(self.patient_recoupled)
             self.cat_after_patient = self._cat_marginal(self.patient_recoupled)
