@@ -37,6 +37,24 @@ def brute_partial_trace(amplitudes, num_qubits, keep_qubits):
     return rho
 
 
+def brute_partial_trace_dm(entries, num_qubits, keep_qubits):
+    """Partial trace of a density matrix by summation over explicit basis
+    indices."""
+    keep = list(keep_qubits)
+    rest = [q for q in range(num_qubits) if q not in keep]
+    dim_keep = 2 ** len(keep)
+    rho = np.zeros((dim_keep, dim_keep), dtype=complex)
+    for i in range(dim_keep):
+        for j in range(dim_keep):
+            total = 0.0 + 0.0j
+            for env in range(2 ** len(rest)):
+                row = assemble_index(num_qubits, [(keep, i), (rest, env)])
+                col = assemble_index(num_qubits, [(keep, j), (rest, env)])
+                total += entries[row, col]
+            rho[i, j] = total
+    return rho
+
+
 def brute_filter(amplitudes, num_qubits, target_qubit, weight):
     """Entrywise one-qubit reweighting followed by explicit renormalization."""
     out = np.array(amplitudes, dtype=complex)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from realitysteer import (
+    DensityMatrix,
     GateSpec,
     KrausChannel,
     NonlinearFilter,
@@ -103,6 +104,23 @@ class TestApplyLocalChannel:
         channel = random_channel(1, 2, rng=21)
         rho = apply_local_channel(state, CEB, "E", channel)
         assert abs(np.trace(rho.entries) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("sizes, target", [
+        ([("C", 1), ("E", 1), ("B", 1)], "E"),
+        ([("C", 1), ("E", 2), ("B", 1)], "E"),
+        ([("C", 2), ("E", 1), ("B", 1)], "E"),
+    ])
+    def test_density_matrix_input_agrees_with_pure_input(self, sizes, target):
+        layout = RegisterLayout.from_sizes(sizes)
+        n = layout.total_qubits
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        state = StateVector(amps / np.linalg.norm(amps), n)
+        full = DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), n)
+        channel = random_channel(layout.size(target), 3, rng=8)
+        from_pure = apply_local_channel(state, layout, target, channel)
+        from_mixed = apply_local_channel(full, layout, target, channel)
+        assert np.max(np.abs(from_mixed.entries - from_pure.entries)) < 1e-12
 
     def test_arity_mismatch_rejected(self):
         channel = random_channel(2, 2, rng=3)

@@ -17,7 +17,7 @@ from realitysteer import (
     trace_distance,
     von_neumann_entropy,
 )
-from conftest import brute_partial_trace
+from conftest import brute_partial_trace, brute_partial_trace_dm
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -198,6 +198,21 @@ class TestPartialTrace:
         direct = partial_trace(state, CBE, ["B"])
         via_dm = partial_trace(full, CBE, ["B"])
         assert np.max(np.abs(direct.entries - via_dm.entries)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "keep", [["c", "a"], ["b", "a"], ["c", "b"], ["a", "c"], ["b"], ["c", "b", "a"]]
+    )
+    def test_mixed_states_match_brute_force(self, keep):
+        layout = RegisterLayout.from_sizes([("a", 1), ("b", 2), ("c", 1)])
+        qubits = [q for name in keep for q in layout.qubits(name)]
+        rng = np.random.default_rng(13)
+        for rank in (1, 3, 16):
+            ginibre = rng.standard_normal((16, rank)) + 1j * rng.standard_normal((16, rank))
+            entries = ginibre @ ginibre.conj().T
+            entries /= np.trace(entries).real
+            reduced = partial_trace(DensityMatrix(entries, 4), layout, keep)
+            oracle = brute_partial_trace_dm(entries, 4, qubits)
+            assert np.max(np.abs(reduced.entries - oracle)) < 1e-12
 
     def test_composition_order_is_irrelevant(self):
         rng = np.random.default_rng(7)
