@@ -67,6 +67,64 @@ ACCEPTED = [
 ]
 
 
+# Per scenario of ACCEPTED: pre_probs, post_probs, cat_before,
+# cat_after_patient, cat_after_stay, _ok_stay, _ok_patient, as the engine
+# built them when this test was written.
+P, Q = 0.36, 0.6400000000000001
+STAY = ((1.0, 0.0), (0.0, 1.0))
+ENGINE_TABLES = [
+    ((P, Q), (P, Q), (P, Q), (P, Q), STAY, (-1, -1), (1, 1)),
+    ((P, Q), (P, Q), (P, Q), (P, Q), STAY, (1, -1), (1, 1)),
+    ((P, Q), (1.0, 0.0), (P, Q), (1.0, 0.0), STAY, (-1, 1), (1, -1)),
+    ((P, Q), (P, Q), (P, Q), (P, Q), STAY, (-1, -1), (1, 1)),
+    ((P, Q), (0.0, 1.0), (P, Q), (0.0, 1.0), STAY, (1, -1), (-1, 1)),
+    ((P, Q), (1.0, 0.0), (P, Q), (1.0, 0.0), STAY, (-1, 1), (1, -1)),
+    (
+        (0.09, 0.25, 0.16000000000000003, 0.5000000000000001),
+        (0.0, 0.0, 0.2424242424242424, 0.7575757575757575),
+        (0.09, 0.25, 0.16000000000000003, 0.5000000000000001),
+        (0.0, 0.0, 0.2424242424242424, 0.7575757575757575),
+        tuple(tuple(float(b == pre) for b in range(4)) for pre in range(4)),
+        (1, 1, -1, -1),
+        (-1, -1, 1, 1),
+    ),
+    (
+        (P, Q), (0.12328767123287672, 0.8767123287671236),
+        (P, Q), (0.12328767123287672, 0.8767123287671236),
+        STAY, (-1, -1), (1, 1),
+    ),
+]
+
+
+def _bits(values):
+    """Floats as hex strings (so -0.0 and 0.0 differ), nested as given."""
+    if isinstance(values, float):
+        return values.hex()
+    return tuple(_bits(v) for v in values)
+
+
+def _scenario_id(s):
+    return (
+        f"{s.encoding.value}-{s.participation.value}-{s.branch_structure.num_branches}"
+        f"-lambda{s.nonlinear_lambda}"
+    )
+
+
+@pytest.mark.parametrize("scenario, tables", zip(ACCEPTED, ENGINE_TABLES),
+                         ids=[_scenario_id(s) for s in ACCEPTED])
+def test_engine_tables_are_pinned(scenario, tables):
+    engine = TrialEngine(scenario)
+    pre, post, cat_before, cat_patient, cat_stay, ok_stay, ok_patient = tables
+    assert _bits(engine.pre_probs.tolist()) == _bits(pre)
+    assert _bits(engine.post_probs.tolist()) == _bits(post)
+    assert _bits(engine.cat_before) == _bits(cat_before)
+    assert _bits(engine.cat_after_patient) == _bits(cat_patient)
+    assert _bits(engine.cat_after_stay) == _bits(cat_stay)
+    for column, expected in ((engine._ok_stay, ok_stay), (engine._ok_patient, ok_patient)):
+        assert column.dtype == np.int8
+        assert column.tolist() == list(expected)
+
+
 @pytest.mark.parametrize("scenario", ACCEPTED, ids=lambda s: (
     f"{s.encoding.value}-{s.participation.value}-{s.branch_structure.num_branches}"
     f"-lambda{s.nonlinear_lambda}"
