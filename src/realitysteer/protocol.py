@@ -446,93 +446,68 @@ class TrialEngine:
     """Precomputed trial pipeline for one scenario.
 
     The unitary stages and all state-level diagnostics are seed-independent,
-    so they are evaluated once; ``run(seed)`` only draws the observer's
-    pre- and post-branch from the precomputed Born tables.  ``run_batch``
-    draws a range of an ensemble's trials as columns, each equal to what
-    ``run`` gives for that trial's seed; ``run(seed)`` stays the scalar
-    reference.
+    so they are evaluated once, and the engine keeps only their per-branch
+    tables, never a state.  ``run(seed)`` draws the observer's pre- and
+    post-branch from those tables.  ``run_batch`` draws a range of an
+    ensemble's trials as columns, each equal to what ``run`` gives for that
+    trial's seed; ``run(seed)`` stays the scalar reference.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.layout = scenario_layout(scenario)
-        structure = scenario.branch_structure
-        self.structure = structure
-        width = structure.cat_width
+        self.layout = layout = scenario_layout(scenario)
+        self.structure = structure = scenario.branch_structure
+        encoding = scenario.encoding
+        branches = range(structure.num_branches)
 
-        state = prepare_cat(structure, self.layout)
-        state = observe(state, self.layout, scenario.observe_variant, scenario.encoding)
-        state = spread_to_environment(state, self.layout, scenario.env_qubits - 1)
-        self.observed = state
-
+        state = prepare_cat(structure, layout)
+        state = observe(state, layout, scenario.observe_variant, encoding)
+        state = spread_to_environment(state, layout, scenario.env_qubits - 1)
         self.pre_probs = self._branch_probs_from_brain(state)
         self.cat_before = self._cat_marginal(state)
 
-        self.participating = set(structure.branches_in(scenario.participation))
+        participating = structure.branches_in(scenario.participation)
         if scenario.participation is Participation.ALL:
-            clinic_state = clinic_erase(state, self.layout, scenario.encoding)
+            state = clinic_erase(state, layout, encoding)
         else:
-            clinic_state = conditional_clinic(
-                state, self.layout, structure, scenario.participation, scenario.encoding
-            )
-        self.clinic_state = clinic_state
-        brain = partial_trace(clinic_state, self.layout, ["B"])
+            state = conditional_clinic(state, layout, structure, scenario.participation, encoding)
+        brain = partial_trace(state, layout, ["B"])
         self.brain_purity = purity(brain)
         self.brain_entropy = von_neumann_entropy(brain)
 
         if scenario.nonlinear_lambda is not None:
-            self.filtered = apply_nonlinear_filter(
-                clinic_state,
-                self.layout,
-                NonlinearFilter(scenario.nonlinear_lambda, "A"),
+            state = apply_nonlinear_filter(
+                state, layout, NonlinearFilter(scenario.nonlinear_lambda, "A")
             )
-        else:
-            self.filtered = clinic_state
+
+        # Memory checks per branch; -1 marks a check never evaluated, where
+        # run() raises a KeyError and run_batch a RuntimeError.
+        self._participates = np.array([b in participating for b in branches])
+        self._ok_stay = np.full(structure.num_branches, -1, dtype=np.int8)
+        self._ok_patient = np.full(structure.num_branches, -1, dtype=np.int8)
+        for branch in branches:
+            if not self._participates[branch] and self.pre_probs[branch] > NORM_TOL:
+                self._ok_stay[branch] = self._branch_keeps_record(state, branch)
 
         # Patient path: condition on the blank-memory observer, re-couple,
         # and tabulate the reachable branches.  Skipped when no branch was
         # erased with any weight (the draw can then never need it).
-        participating_mass = float(
-            sum(self.pre_probs[b] for b in self.participating)
-        )
-        self.patient_recoupled = None
         self.post_probs = None
         self.cat_after_patient = None
-        self._memory_ok_patient = {}
-        if participating_mass > NORM_TOL:
-            self.patient_recoupled = _recouple_patient(
-                self.filtered, self.layout, scenario.encoding
-            )
-            self.post_probs = self._branch_probs_from_brain(self.patient_recoupled)
-            self.cat_after_patient = self._cat_marginal(self.patient_recoupled)
-            for branch in range(structure.num_branches):
+        if self.pre_probs[self._participates].sum() > NORM_TOL:
+            state = _recouple_patient(state, layout, encoding)
+            self.post_probs = self._branch_probs_from_brain(state)
+            self.cat_after_patient = self._cat_marginal(state)
+            for branch in branches:
                 if self.post_probs[branch] > NORM_TOL:
-                    self._memory_ok_patient[branch] = self._record_pins_cat(
-                        self.patient_recoupled, branch
-                    )
+                    self._ok_patient[branch] = self._record_pins_cat(state, branch)
 
-        self._memory_ok_stay = {}
-        for branch in range(structure.num_branches):
-            if branch in self.participating or self.pre_probs[branch] <= NORM_TOL:
-                continue
-            self._memory_ok_stay[branch] = self._branch_keeps_record(
-                self.filtered, branch
-            )
-
-        # Lookup tables over branch indices for run_batch; -1 marks a
-        # memory check never evaluated, where run() raises a KeyError.
-        branches = range(structure.num_branches)
         self.labels = tuple(structure.label(b) for b in branches)
         self.cat_after_stay = tuple(
             tuple(1.0 if b == pre else 0.0 for b in branches) for pre in branches
         )
         self._pre_cdf = clamped_cdf(self.pre_probs)
         self._post_cdf = None if self.post_probs is None else clamped_cdf(self.post_probs)
-        self._participates = np.array([b in self.participating for b in branches])
-        self._ok_patient = np.array(
-            [self._memory_ok_patient.get(b, -1) for b in branches], dtype=np.int8
-        )
-        self._ok_stay = np.array([self._memory_ok_stay.get(b, -1) for b in branches], dtype=np.int8)
 
     def _branch_probs_from_brain(self, state: StateVector) -> np.ndarray:
         structure, encoding = self.structure, self.scenario.encoding
@@ -575,26 +550,20 @@ class TrialEngine:
     def run(self, seed: int) -> TrialReport:
         rng = as_generator(seed)
         pre = draw_index(rng, self.pre_probs)
-        erased = pre in self.participating
-        if erased:
-            post = draw_index(rng, self.post_probs)
-            cat_after = self.cat_after_patient
-            consistent = self._memory_ok_patient[post]
-        else:
-            post = pre
-            cat_after = self.cat_after_stay[pre]
-            consistent = self._memory_ok_stay[pre]
-        return TrialReport(
-            pre_outcome=self.labels[pre],
-            post_outcome=self.labels[post],
-            pre_branch=pre,
-            post_branch=post,
-            erased=erased,
-            brain_purity_after_erase=self.brain_purity,
-            brain_entropy_after_erase=self.brain_entropy,
-            cat_marginal_before=self.cat_before,
-            cat_marginal_after=cat_after,
-            memory_consistent=consistent,
+        erased = bool(self._participates[pre])
+        post = draw_index(rng, self.post_probs) if erased else pre
+        consistent = (self._ok_patient if erased else self._ok_stay)[post]
+        if consistent < 0:
+            raise KeyError(post)
+        return TrialReport(*self._report(pre, post, erased, bool(consistent)))
+
+    def _report(self, pre: int, post: int, erased: bool, consistent: bool) -> tuple:
+        """``TrialReport``'s fields in order for one trial's draws."""
+        return (
+            self.labels[pre], self.labels[post], pre, post, erased,
+            self.brain_purity, self.brain_entropy, self.cat_before,
+            self.cat_after_patient if erased else self.cat_after_stay[pre],
+            consistent,
         )
 
     def run_batch(self, base_seed: int, first: int, count: int) -> "TrialBatch":
@@ -650,17 +619,9 @@ class TrialBatch:
 
     def _fields(self):
         """Per trial, ``TrialReport``'s fields in order as native Python values."""
-        engine = self.engine
-        labels = engine.labels
         columns = (self.pre.tolist(), self.post.tolist(), self.erased.tolist(),
                    self.consistent.tolist())
-        for pre, post, erased, consistent in zip(*columns):
-            yield (
-                labels[pre], labels[post], pre, post, erased,
-                engine.brain_purity, engine.brain_entropy, engine.cat_before,
-                engine.cat_after_patient if erased else engine.cat_after_stay[pre],
-                consistent,
-            )
+        return map(self.engine._report, *columns)
 
     def reports(self) -> list:
         return [TrialReport(*values) for values in self._fields()]
@@ -705,6 +666,14 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diagonal / np.abs(diagonal))
 
 
+def _haar_encodings(num_record_qubits: int, rng) -> tuple:
+    """Branches 0 and 1 encoded by a seeded Haar-random unitary: its columns
+    for inputs |0> and |1> on the leading qubit, the others blank."""
+    dim = 2**num_record_qubits
+    unitary = _haar_unitary(dim, as_generator(rng))
+    return unitary[:, 0], unitary[:, dim // 2]
+
+
 def _decoupling_metrics(encoded_zero: np.ndarray, encoded_one: np.ndarray,
                         num_record_qubits: int, accessible: int) -> DecouplingResult:
     if accessible == num_record_qubits:
@@ -744,12 +713,8 @@ def decoupling_diagnostic(num_record_qubits: int, accessible: int, rng) -> Decou
         raise ValueError("num_record_qubits must be in 1..12")
     if not 0 <= accessible <= num_record_qubits:
         raise ValueError("accessible qubit count out of range")
-    gen = as_generator(rng)
-    dim = 2**num_record_qubits
-    unitary = _haar_unitary(dim, gen)
-    encoded_zero = unitary[:, 0]
-    encoded_one = unitary[:, dim // 2]  # input |1> on the leading qubit
-    return _decoupling_metrics(encoded_zero, encoded_one, num_record_qubits, accessible)
+    encoded = _haar_encodings(num_record_qubits, rng)
+    return _decoupling_metrics(*encoded, num_record_qubits, accessible)
 
 
 def decoupling_sweep(num_record_qubits: int, accessible_values, num_encodings: int,
@@ -762,15 +727,9 @@ def decoupling_sweep(num_record_qubits: int, accessible_values, num_encodings: i
     """
     if num_encodings < 1:
         raise ValueError("num_encodings must be >= 1")
-    dim = 2**num_record_qubits
     results = {int(k): [] for k in accessible_values}
     for encoding_index in range(num_encodings):
-        gen = as_generator(derive_seed(rng_seed, encoding_index))
-        unitary = _haar_unitary(dim, gen)
-        encoded_zero = unitary[:, 0]
-        encoded_one = unitary[:, dim // 2]
+        encoded = _haar_encodings(num_record_qubits, derive_seed(rng_seed, encoding_index))
         for k in results:
-            results[k].append(
-                _decoupling_metrics(encoded_zero, encoded_one, num_record_qubits, k)
-            )
+            results[k].append(_decoupling_metrics(*encoded, num_record_qubits, k))
     return results

@@ -157,7 +157,6 @@ def test_batch_fails_at_the_first_trial_the_scalar_path_rejects():
     engine = TrialEngine(scenario)
     # Drop the stay-put memory check of the alive branch: run() then raises
     # a KeyError for every trial that draws alive.
-    del engine._memory_ok_stay[0]
     engine._ok_stay[0] = -1
     errors = {}
     for i in range(100):
