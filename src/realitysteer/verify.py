@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .channels import (
     NonlinearFilter,
@@ -332,6 +331,10 @@ def born_statistics_test(scenario: "Scenario | None" = None, num_trials: int = 2
         passed = stray == 0.0
         p_value = 1.0 if passed else 0.0
     else:
+        # Imported here: scipy.stats costs about a second to import, and no
+        # other code path needs it.
+        from scipy import stats
+
         _, p_value = stats.chisquare(counts[support], expected[support] * num_trials)
         passed = stray == 0.0 and bool(p_value > 0.001)
     return Verdict(

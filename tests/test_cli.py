@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import realitysteer
 from realitysteer.cli import (
     ConfigError,
     RunConfig,
@@ -302,3 +305,13 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "run_checks", failing)
         assert main(["verify", "--suite", "no_signalling"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` takes about a second to import and only the
+    Born-statistics check uses it, so a bare CLI import must not load it."""
+    src = os.path.dirname(os.path.dirname(realitysteer.__file__))
+    code = "import sys, realitysteer.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
