@@ -239,18 +239,26 @@ class GateSpec:
         return full
 
 
+def _qubit_axes(num_qubits: int, qubits, trailing: int) -> list:
+    """Axis order of a (2,) * n tensor with ``trailing`` extra axes that puts
+    the listed qubits first, in listed order; every other axis keeps its order."""
+    others = [q for q in range(num_qubits) if q not in qubits]
+    return [*qubits, *others, *range(num_qubits, num_qubits + trailing)]
+
+
 def _qubits_first(array: np.ndarray, num_qubits: int, qubits) -> np.ndarray:
     """View a (2^n,) or (2^n, d) array as a (2^k, rest) matrix whose row
     index runs over the listed qubits, in listed order."""
     tensor = array.reshape((2,) * num_qubits + array.shape[1:])
-    tensor = np.moveaxis(tensor, qubits, range(len(qubits)))
+    tensor = tensor.transpose(_qubit_axes(num_qubits, qubits, array.ndim - 1))
     return tensor.reshape(2 ** len(qubits), -1)
 
 
 def _qubits_back(block: np.ndarray, num_qubits: int, qubits, shape) -> np.ndarray:
     """Inverse of :func:`_qubits_first`: a contiguous array of ``shape``."""
-    tensor = block.reshape((2,) * num_qubits + shape[1:])
-    tensor = np.moveaxis(tensor, range(len(qubits)), qubits)
+    order = _qubit_axes(num_qubits, qubits, len(shape) - 1)
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    tensor = block.reshape((2,) * num_qubits + shape[1:]).transpose(inverse)
     return np.ascontiguousarray(tensor).reshape(shape)
 
 
