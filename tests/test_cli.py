@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -305,6 +306,72 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "run_checks", failing)
         assert main(["verify", "--suite", "no_signalling"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestReportBytes:
+    """File bytes of the CSV reports, and the table ``sweep`` prints, pinned
+    as sha256 digests; ``test_golden.py`` pins only the JSON payloads."""
+
+    LAMBDA_SWEEP = {
+        "scenario": {"rng_seed": 3},
+        "sweep": {"axis": "lambda", "values": [0.5, 1, 2], "trials_per_point": 400},
+    }
+    ACCESSIBLE_K_SWEEP = {
+        "scenario": {"rng_seed": 3},
+        "sweep": {"axis": "accessible_k", "values": [1, 5], "trials_per_point": 4,
+                  "num_record_qubits": 6},
+    }
+    # (config, CSV file digest, printed table digest)
+    SWEEPS = {
+        "lambda": (
+            LAMBDA_SWEEP,
+            "d255e5e3ce1688630aadd3ef4517bfa756658814e3e126ce1b910b3cda96f406",
+            "f42dacf8cbd8ca2b7c3d1274c59a3cfebed451bb04273190cddd693132c2a190",
+        ),
+        "accessible_k": (
+            ACCESSIBLE_K_SWEEP,
+            "b904073f0b2b3664b49a11992f93a855bba31901062b1ec711d0c3870fb9e8f2",
+            "8d80518b9b8fd2831ece5688953af36dbf5896f397803dbaa89da27bb050ef62",
+        ),
+    }
+
+    @pytest.mark.parametrize("axis", sorted(SWEEPS))
+    def test_sweep_csv_bytes(self, axis, tmp_path, capsys):
+        document, file_digest, table_digest = self.SWEEPS[axis]
+        config = parse_config(write_config(tmp_path, "s.json", document))
+        out = tmp_path / "sweep.csv"
+        assert cmd_sweep(config, out=str(out), fmt="csv") == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == file_digest
+        printed = capsys.readouterr().out
+        table, tail = printed.rsplit("report written to ", 1)
+        assert tail == f"{out}\n"
+        assert hashlib.sha256(table.encode()).hexdigest() == table_digest
+
+    def test_verify_csv_bytes(self, tmp_path, capsys):
+        out = tmp_path / "verdicts.csv"
+        argv = ["verify", "--suite", "coordination,nonlinear_witness",
+                "--format", "csv", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (
+            b"check_name,passed,metric,tolerance,details\r\n"
+            b"coordination,True,1.0,0.5,\"participation=dead_only: brain entropy after "
+            b"the erase in bits; steering blocked, passes ABOVE tolerance\"\r\n"
+            b"nonlinear_witness,True,0.3,1e-06,\"filter weight 2.0: cat state moved by "
+            b"0.300000 (predicted 0.300000, marginal error 0.00e+00); violation "
+            b"witnessed, passes ABOVE tolerance\"\r\n"
+        )
+
+    def test_sweep_config_rejected_by_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, "s.json", self.LAMBDA_SWEEP)
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: expected a run config, found a sweep block\n"
+
+    def test_run_config_rejected_by_sweep(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", CANONICAL)
+        assert main(["sweep", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: sweep config needs a 'sweep' block\n"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
