@@ -269,9 +269,9 @@ def _scenario_payload(scenario: Scenario) -> dict:
     }
 
 
-def _run_trials(scenario: Scenario, num_trials: int, threads: int):
-    """The ensemble as one ``TrialBatch``.  ``threads`` is accepted and
-    ignored: the batch is drawn faster than worker processes would start."""
+def _run_trials(scenario: Scenario, num_trials: int, threads: int = 1):
+    """The ensemble as one ``TrialBatch``.  A ``threads`` argument is still
+    accepted and ignored: one batch is drawn faster than workers start."""
     return TrialEngine(scenario).run_batch(scenario.rng_seed, 0, num_trials)
 
 
@@ -320,7 +320,11 @@ def _write_document(payload: dict, path: str):
         handle.write(canonical_payload_bytes(document) + b"\n")
 
 
-def _write_csv_rows(path: str, header, rows):
+def _write_report(path: str, fmt: str, payload: dict, header, rows):
+    """Write ``payload`` as a JSON document, or ``header`` and ``rows`` as CSV."""
+    if fmt != "csv":
+        _write_document(payload, path)
+        return
     with _open_report(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -330,7 +334,7 @@ def _write_csv_rows(path: str, header, rows):
 def cmd_run(config: RunConfig, out: "str | None" = None, threads: int = 1,
             trials: "int | None" = None, fmt: str = "json") -> int:
     num_trials = trials if trials is not None else config.num_trials
-    batch = _run_trials(config.scenario, num_trials, threads)
+    batch = _run_trials(config.scenario, num_trials)
     summary = _summarize(config.scenario, batch)
     payload = {
         "kind": "run",
@@ -344,11 +348,8 @@ def cmd_run(config: RunConfig, out: "str | None" = None, threads: int = 1,
     if config.emit_per_trial:
         payload["per_trial"] = batch.rows()
     path = out or config.output_path or "run_report.json"
-    if fmt == "csv":
-        rows = [[key, json.dumps(value, sort_keys=True)] for key, value in sorted(summary.items())]
-        _write_csv_rows(path, ["quantity", "value"], rows)
-    else:
-        _write_document(payload, path)
+    rows = [[key, json.dumps(value, sort_keys=True)] for key, value in sorted(summary.items())]
+    _write_report(path, fmt, payload, ["quantity", "value"], rows)
     post = summary["post_outcome_frequencies"]
     print(f"ran {num_trials} trials of a {config.scenario.branch_structure.num_branches}-branch scenario")
     for label in sorted(post):
@@ -372,33 +373,22 @@ def cmd_verify(suite, seed: int, out: "str | None" = None, fmt: str = "json") ->
             f"tolerance={verdict.tolerance:.1e}"
         )
     if out:
-        payload = {"kind": "verify", "seed": seed, "verdicts": [asdict(v) for v in verdicts]}
-        if fmt == "csv":
-            _write_csv_rows(
-                out,
-                ["check_name", "passed", "metric", "tolerance", "details"],
-                [[v.check_name, v.passed, repr(v.metric), repr(v.tolerance), v.details] for v in verdicts],
-            )
-        else:
-            _write_document(payload, out)
+        records = [asdict(v) for v in verdicts]
+        payload = {"kind": "verify", "seed": seed, "verdicts": records}
+        _write_report(out, fmt, payload, list(records[0]), [list(r.values()) for r in records])
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_VERIFY_FAILED
 
 
-def _sweep_rows(config: SweepConfig, threads: int, trials: "int | None") -> list:
-    trials_per_point = trials if trials is not None else config.trials_per_point
+def _sweep_rows(config: SweepConfig, trials_per_point: int) -> list:
     rows = []
     if config.axis == "accessible_k":
-        table = decoupling_sweep(
-            config.num_record_qubits,
-            [int(v) for v in config.values],
-            trials_per_point,
-            config.base.rng_seed,
-        )
-        for value in config.values:
-            results = table[int(value)]
+        ks = [int(v) for v in config.values]
+        table = decoupling_sweep(config.num_record_qubits, ks, trials_per_point, config.base.rng_seed)
+        for k in ks:
+            results = table[k]
             rows.append(
                 {
-                    "accessible_k": int(value),
+                    "accessible_k": k,
                     "num_record_qubits": config.num_record_qubits,
                     "num_encodings": len(results),
                     "mean_conditional_trace_distance": float(
@@ -413,7 +403,7 @@ def _sweep_rows(config: SweepConfig, threads: int, trials: "int | None") -> list
         return rows
     for value in config.values:
         scenario = sweep_point(config.base, config.axis, value)
-        batch = _run_trials(scenario, trials_per_point, threads)
+        batch = _run_trials(scenario, trials_per_point)
         summary = _summarize(scenario, batch)
         row = {
             config.axis: value,
@@ -431,31 +421,25 @@ def _sweep_rows(config: SweepConfig, threads: int, trials: "int | None") -> list
 
 def cmd_sweep(config: SweepConfig, out: "str | None" = None, threads: int = 1,
               trials: "int | None" = None, fmt: str = "json") -> int:
-    rows = _sweep_rows(config, threads, trials)
+    trials_per_point = trials if trials is not None else config.trials_per_point
+    rows = _sweep_rows(config, trials_per_point)
     payload = {
         "kind": "sweep",
         "config": {
             "scenario": _scenario_payload(config.base),
             "axis": config.axis,
             "values": list(config.values),
-            "trials_per_point": trials if trials is not None else config.trials_per_point,
+            "trials_per_point": trials_per_point,
             "num_record_qubits": config.num_record_qubits,
         },
         "rows": rows,
     }
     header = sorted({key for row in rows for key in row})
-    print("  ".join(header))
-    for row in rows:
-        print("  ".join(json.dumps(row.get(key), sort_keys=True) for key in header))
+    cells = [[json.dumps(row.get(key), sort_keys=True) for key in header] for row in rows]
+    for line in [header, *cells]:
+        print("  ".join(line))
     path = out or f"sweep_{config.axis}.json"
-    if fmt == "csv":
-        _write_csv_rows(
-            path,
-            header,
-            [[json.dumps(row.get(key), sort_keys=True) for key in header] for row in rows],
-        )
-    else:
-        _write_document(payload, path)
+    _write_report(path, fmt, payload, header, cells)
     print(f"report written to {path}")
     return EXIT_OK
 
@@ -523,18 +507,17 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) is None:
             _threads_variable()
-        if args.command == "run":
-            config = parse_config(args.config)
-            if not isinstance(config, RunConfig):
-                raise ConfigError(f"{args.config}: expected a run config, found a sweep block")
-            return cmd_run(config, args.out, args.threads, args.trials, args.format)
-        if args.command == "sweep":
-            config = parse_config(args.config)
-            if not isinstance(config, SweepConfig):
-                raise ConfigError(f"{args.config}: sweep config needs a 'sweep' block")
-            return cmd_sweep(config, args.out, args.threads, args.trials, args.format)
-        suite = tuple(name.strip() for name in args.suite.split(",") if name.strip())
-        return cmd_verify(suite or ("all",), args.seed, args.out, args.format)
+        if args.command == "verify":
+            suite = tuple(name.strip() for name in args.suite.split(",") if name.strip())
+            return cmd_verify(suite or ("all",), args.seed, args.out, args.format)
+        config = parse_config(args.config)
+        is_run = isinstance(config, RunConfig)
+        if args.command == "run" and not is_run:
+            raise ConfigError(f"{args.config}: expected a run config, found a sweep block")
+        if args.command == "sweep" and is_run:
+            raise ConfigError(f"{args.config}: sweep config needs a 'sweep' block")
+        command = cmd_run if is_run else cmd_sweep
+        return command(config, args.out, args.threads, args.trials, args.format)
     except ConfigError as error:
         print(f"config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
