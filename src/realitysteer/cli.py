@@ -50,6 +50,7 @@ from .protocol import (
     RecordEncoding,
     Scenario,
     TrialEngine,
+    _check_record_split,
     decoupling_sweep,
     scenario_layout,
 )
@@ -223,16 +224,17 @@ def parse_config(path: str):
         if trials_per_point < 1:
             raise ConfigError("sweep.trials_per_point: must be >= 1")
         num_record_qubits = _get(block, "num_record_qubits", int, "sweep", default=10)
-        if not 1 <= num_record_qubits <= 12:
-            raise ConfigError("sweep.num_record_qubits: must be in 1..12")
+        try:
+            _check_record_split(num_record_qubits)
+        except ValueError as error:
+            raise ConfigError(f"sweep.{error}") from None
         if axis == "weight_c0sq" and scenario.branch_structure.num_branches != 2:
             raise ConfigError("sweep.axis: weight sweeps need a two-branch scenario")
         for value in values:
             number = _number(value, "sweep.values")
             try:
                 if axis == "accessible_k":
-                    if not number.is_integer() or not 0 <= number <= num_record_qubits:
-                        raise ValueError(f"must be integers in 0..{num_record_qubits}")
+                    _check_record_split(num_record_qubits, [number])
                 else:
                     expected_post_probabilities(sweep_point(scenario, axis, value))
             except ValueError as error:

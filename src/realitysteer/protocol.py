@@ -60,6 +60,7 @@ from .statevec import (
 )
 
 MAX_QUBITS = 22
+MAX_RECORD_QUBITS = 12  # the decoupling diagnostic's dense 2^n x 2^n Haar unitary
 # Recovery counts as feasible when the inaccessible remainder is closer to
 # branch-independent than branch-revealing; the midpoint criterion puts the
 # feasibility transition at the half-access point for Haar-scrambled records.
@@ -131,9 +132,6 @@ class BranchStructure:
 
     def is_alive(self, branch: int) -> bool:
         return branch < self.num_alive
-
-    def family(self, branch: int) -> str:
-        return "alive" if self.is_alive(branch) else "dead"
 
     def label(self, branch: int) -> str:
         if self.num_branches == 2:
@@ -674,6 +672,15 @@ def _haar_encodings(num_record_qubits: int, rng) -> tuple:
     return unitary[:, 0], unitary[:, dim // 2]
 
 
+def _check_record_split(num_record_qubits: int, accessible_values=()) -> None:
+    """The decoupling rule: a record of 1..MAX_RECORD_QUBITS qubits, of which
+    0..num_record_qubits are accessible.  Messages start with the field."""
+    if not 1 <= num_record_qubits <= MAX_RECORD_QUBITS:
+        raise ValueError(f"num_record_qubits: must be in 1..{MAX_RECORD_QUBITS}")
+    if any(k not in range(num_record_qubits + 1) for k in accessible_values):
+        raise ValueError(f"accessible: out of range, must be integers in 0..{num_record_qubits}")
+
+
 def _decoupling_metrics(encoded_zero: np.ndarray, encoded_one: np.ndarray,
                         num_record_qubits: int, accessible: int) -> DecouplingResult:
     if accessible == num_record_qubits:
@@ -709,10 +716,7 @@ def decoupling_diagnostic(num_record_qubits: int, accessible: int, rng) -> Decou
     coherence from the accessible part is feasible when that conditional
     trace distance falls below ``DECOUPLING_FEASIBLE_THRESHOLD``.
     """
-    if not 1 <= num_record_qubits <= 12:
-        raise ValueError("num_record_qubits must be in 1..12")
-    if not 0 <= accessible <= num_record_qubits:
-        raise ValueError("accessible qubit count out of range")
+    _check_record_split(num_record_qubits, [accessible])
     encoded = _haar_encodings(num_record_qubits, rng)
     return _decoupling_metrics(*encoded, num_record_qubits, accessible)
 
@@ -728,6 +732,7 @@ def decoupling_sweep(num_record_qubits: int, accessible_values, num_encodings: i
     if num_encodings < 1:
         raise ValueError("num_encodings must be >= 1")
     results = {int(k): [] for k in accessible_values}
+    _check_record_split(num_record_qubits, results)
     for encoding_index in range(num_encodings):
         encoded = _haar_encodings(num_record_qubits, derive_seed(rng_seed, encoding_index))
         for k in results:

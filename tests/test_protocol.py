@@ -542,3 +542,11 @@ class TestDecoupling:
         high_access = np.mean([r.conditional_trace_distance for r in table[7]])
         assert low_access > 0.9
         assert high_access < 0.3
+
+    @pytest.mark.parametrize(
+        "num_record_qubits, accessible, field",
+        [(0, 0, "num_record_qubits"), (6, 7, "accessible"), (6, -1, "accessible")],
+    )
+    def test_sweep_refuses_bad_split(self, num_record_qubits, accessible, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            decoupling_sweep(num_record_qubits, [accessible], 1, 0)
