@@ -272,9 +272,17 @@ class TestMainEntry:
     def test_missing_config_file(self):
         assert main(["run", "/nonexistent.json"]) == 2
 
-    def test_run_config_rejected_by_sweep(self, tmp_path):
+    def test_run_config_rejected_by_sweep(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", CANONICAL)
         assert main(["sweep", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: sweep config needs a 'sweep' block\n"
+
+    def test_sweep_config_rejected_by_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, "s.json", TestReportBytes.LAMBDA_SWEEP)
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: expected a run config, found a sweep block\n"
 
     def test_trials_override(self, tmp_path):
         path = write_config(tmp_path, "c.json", CANONICAL)
@@ -360,18 +368,6 @@ class TestReportBytes:
             b"0.300000 (predicted 0.300000, marginal error 0.00e+00); violation "
             b"witnessed, passes ABOVE tolerance\"\r\n"
         )
-
-    def test_sweep_config_rejected_by_run(self, tmp_path, capsys):
-        path = write_config(tmp_path, "s.json", self.LAMBDA_SWEEP)
-        assert main(["run", path]) == 2
-        err = capsys.readouterr().err
-        assert err == f"config error: {path}: expected a run config, found a sweep block\n"
-
-    def test_run_config_rejected_by_sweep(self, tmp_path, capsys):
-        path = write_config(tmp_path, "c.json", CANONICAL)
-        assert main(["sweep", path]) == 2
-        err = capsys.readouterr().err
-        assert err == f"config error: {path}: sweep config needs a 'sweep' block\n"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
