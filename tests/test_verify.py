@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,36 @@ class TestSuiteRunner:
         assert [(v.check_name, v.metric) for v in first] == [
             (v.check_name, v.metric) for v in second
         ]
+
+
+# Verdicts of the two branches no golden reaches (the default `verify` suite
+# runs neither), pinned field for field.
+UNPINNED_VERDICTS = [
+    (
+        lambda: check_coordination(canonical_scenario(encoding=RecordEncoding.TAGGED)),
+        {
+            "check_name": "coordination",
+            "passed": True,
+            "metric": 3.2034265038149176e-16,
+            "tolerance": 1e-10,
+            "details": "full participation: brain entropy after the erase in bits; "
+                       "steering enabled, passes below tolerance",
+        },
+    ),
+    (
+        lambda: check_nonlinear_witness(use_antilinear=True),
+        {
+            "check_name": "nonlinear_witness",
+            "passed": True,
+            "metric": 0.0,
+            "tolerance": 1e-10,
+            "details": "probability-preserving map: cat reduced state must not move; "
+                       "passes below tolerance",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("check, expected", UNPINNED_VERDICTS, ids=["coordination_all", "antilinear"])
+def test_verdict_pinned(check, expected):
+    assert asdict(check()) == expected
