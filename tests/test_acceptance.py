@@ -5,6 +5,7 @@ all).  Tolerances and runtime budgets are pinned here and nowhere else.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -235,8 +236,8 @@ def test_reports_are_byte_deterministic(tmp_path):
     first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     cmd_run(config, out=first)
     cmd_run(config, out=second)
-    payload_first = json.loads(open(first).read())["payload"]
-    payload_second = json.loads(open(second).read())["payload"]
+    payload_first = json.loads(Path(first).read_text())["payload"]
+    payload_second = json.loads(Path(second).read_text())["payload"]
     identical = canonical_payload_bytes(payload_first) == canonical_payload_bytes(
         payload_second
     )

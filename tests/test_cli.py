@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ class TestCmdRun:
         config = parse_config(write_config(tmp_path, "c.json", CANONICAL))
         out = str(tmp_path / "report.json")
         assert cmd_run(config, out=out) == 0
-        document = json.loads(open(out).read())
+        document = json.loads(Path(out).read_text())
         summary = document["payload"]["summary"]
         assert summary["num_trials"] == 2000
         assert abs(summary["post_outcome_frequencies"]["alive"] - 0.5) < 0.05
@@ -132,8 +133,8 @@ class TestCmdRun:
         first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         cmd_run(config, out=first)
         cmd_run(config, out=second)
-        payload_a = json.loads(open(first).read())["payload"]
-        payload_b = json.loads(open(second).read())["payload"]
+        payload_a = json.loads(Path(first).read_text())["payload"]
+        payload_b = json.loads(Path(second).read_text())["payload"]
         assert canonical_payload_bytes(payload_a) == canonical_payload_bytes(payload_b)
 
     def test_zero_weight_filter_is_always_alive(self, tmp_path):
@@ -144,7 +145,7 @@ class TestCmdRun:
         config = parse_config(write_config(tmp_path, "c.json", payload))
         out = str(tmp_path / "report.json")
         cmd_run(config, out=out)
-        summary = json.loads(open(out).read())["payload"]["summary"]
+        summary = json.loads(Path(out).read_text())["payload"]["summary"]
         assert summary["post_outcome_frequencies"]["alive"] == 1.0
 
     def test_parallel_matches_serial(self, tmp_path):
@@ -152,8 +153,8 @@ class TestCmdRun:
         serial, parallel = str(tmp_path / "s.json"), str(tmp_path / "p.json")
         cmd_run(config, out=serial, threads=1)
         cmd_run(config, out=parallel, threads=3)
-        bytes_serial = canonical_payload_bytes(json.loads(open(serial).read())["payload"])
-        bytes_parallel = canonical_payload_bytes(json.loads(open(parallel).read())["payload"])
+        bytes_serial = canonical_payload_bytes(json.loads(Path(serial).read_text())["payload"])
+        bytes_parallel = canonical_payload_bytes(json.loads(Path(parallel).read_text())["payload"])
         assert bytes_serial == bytes_parallel
 
     def test_per_trial_emission(self, tmp_path):
@@ -161,7 +162,7 @@ class TestCmdRun:
         config = parse_config(write_config(tmp_path, "c.json", payload))
         out = str(tmp_path / "report.json")
         cmd_run(config, out=out)
-        document = json.loads(open(out).read())
+        document = json.loads(Path(out).read_text())
         assert len(document["payload"]["per_trial"]) == 25
         assert document["payload"]["per_trial"][0]["memory_consistent"] is True
 
@@ -169,7 +170,7 @@ class TestCmdRun:
         config = parse_config(write_config(tmp_path, "c.json", CANONICAL))
         out = str(tmp_path / "report.csv")
         cmd_run(config, out=out, fmt="csv", trials=100)
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "quantity,value"
         assert len(lines) > 4
 
@@ -183,7 +184,7 @@ class TestCmdSweep:
         config = parse_config(write_config(tmp_path, "s.json", payload))
         out = str(tmp_path / "sweep.json")
         assert cmd_sweep(config, out=out) == 0
-        rows = json.loads(open(out).read())["payload"]["rows"]
+        rows = json.loads(Path(out).read_text())["payload"]["rows"]
         predicted_dead = [row["analytic_post_probabilities"]["dead"] for row in rows]
         assert np.allclose(predicted_dead, [0.2, 0.5, 0.8], atol=1e-12)
 
@@ -195,7 +196,7 @@ class TestCmdSweep:
         config = parse_config(write_config(tmp_path, "s.json", payload))
         out = str(tmp_path / "sweep.json")
         cmd_sweep(config, out=out)
-        rows = json.loads(open(out).read())["payload"]["rows"]
+        rows = json.loads(Path(out).read_text())["payload"]["rows"]
         assert all(row["erase_exact"] for row in rows)
         assert all(abs(row["brain_purity_after_erase"] - 1.0) < 1e-12 for row in rows)
 
@@ -207,7 +208,7 @@ class TestCmdSweep:
         config = parse_config(write_config(tmp_path, "s.json", payload))
         out = str(tmp_path / "sweep.json")
         cmd_sweep(config, out=out)
-        rows = json.loads(open(out).read())["payload"]["rows"]
+        rows = json.loads(Path(out).read_text())["payload"]["rows"]
         alive = [row["analytic_post_probabilities"]["alive"] for row in rows]
         assert np.allclose(alive, [0.25, 0.75], atol=1e-12)
 
@@ -224,7 +225,7 @@ class TestCmdSweep:
         config = parse_config(write_config(tmp_path, "s.json", payload))
         out = str(tmp_path / "sweep.json")
         cmd_sweep(config, out=out)
-        rows = json.loads(open(out).read())["payload"]["rows"]
+        rows = json.loads(Path(out).read_text())["payload"]["rows"]
         assert rows[0]["accessible_k"] == 1
         assert rows[0]["mean_conditional_trace_distance"] > rows[1][
             "mean_conditional_trace_distance"
@@ -288,7 +289,7 @@ class TestMainEntry:
         path = write_config(tmp_path, "c.json", CANONICAL)
         out = str(tmp_path / "r.json")
         assert main(["run", path, "--out", out, "--trials", "50"]) == 0
-        summary = json.loads(open(out).read())["payload"]["summary"]
+        summary = json.loads(Path(out).read_text())["payload"]["summary"]
         assert summary["num_trials"] == 50
 
     def test_threads_env_default(self, tmp_path, monkeypatch):
@@ -301,7 +302,7 @@ class TestMainEntry:
     def test_verify_report_written(self, tmp_path):
         out = str(tmp_path / "verdicts.json")
         assert main(["verify", "--suite", "nonlinear_witness", "--out", out]) == 0
-        document = json.loads(open(out).read())
+        document = json.loads(Path(out).read_text())
         assert document["payload"]["verdicts"][0]["passed"] is True
 
     def test_verify_failure_exits_one(self, monkeypatch, capsys):
