@@ -237,10 +237,13 @@ def _brain_value_qubits(layout: RegisterLayout, encoding: RecordEncoding):
     return qubits[1:] if encoding is RecordEncoding.TAGGED else qubits
 
 
+def _ancilla_names(encoding: RecordEncoding) -> list:
+    """The clinic ancilla's registers: the written flag Af (tagged only), then A."""
+    return ["Af", "A"] if encoding is RecordEncoding.TAGGED else ["A"]
+
+
 def _ancilla_record_qubits(layout: RegisterLayout, encoding: RecordEncoding):
-    if encoding is RecordEncoding.TAGGED:
-        return layout.qubits("Af") + layout.qubits("A")
-    return layout.qubits("A")
+    return tuple(q for name in _ancilla_names(encoding) for q in layout.qubits(name))
 
 
 def _assert_blank(state: StateVector, layout: RegisterLayout, names, context: str):
@@ -338,8 +341,7 @@ def clinic_erase(state: StateVector, layout: RegisterLayout, encoding: RecordEnc
     Afterwards B is exactly blank and disentangled; the ancilla carries the
     record, still correlated with cat and environment.
     """
-    ancilla_names = ["Af", "A"] if encoding is RecordEncoding.TAGGED else ["A"]
-    _assert_blank(state, layout, ancilla_names, "clinic_erase")
+    _assert_blank(state, layout, _ancilla_names(encoding), "clinic_erase")
     brain = layout.qubits("B")
     ancilla = _ancilla_record_qubits(layout, encoding)
     gates = _pairwise_cnots(brain, ancilla) + _pairwise_cnots(ancilla, brain)
@@ -373,8 +375,7 @@ def conditional_clinic(state: StateVector, layout: RegisterLayout,
     correlates with the branch family and the brain stays entangled with cat
     and environment in the skipped branches.
     """
-    ancilla_names = ["Af", "A"] if encoding is RecordEncoding.TAGGED else ["A"]
-    _assert_blank(state, layout, ancilla_names + ["F"], "conditional_clinic")
+    _assert_blank(state, layout, _ancilla_names(encoding) + ["F"], "conditional_clinic")
     state = _apply_all(
         state, _participation_flag_gates(layout, encoding, branch_structure, participation)
     )
@@ -384,6 +385,14 @@ def conditional_clinic(state: StateVector, layout: RegisterLayout,
     gates = [GateSpec.controlled(_X, (flag, b), (a,)) for b, a in zip(brain, ancilla)]
     gates += [GateSpec.controlled(_X, (flag, a), (b,)) for b, a in zip(brain, ancilla)]
     return _apply_all(state, gates)
+
+
+def _recorded_state(scenario: Scenario, layout: RegisterLayout) -> StateVector:
+    """The scenario's cat observed into B and E1, then spread into every
+    further environment copy: the state every erase starts from."""
+    state = prepare_cat(scenario.branch_structure, layout)
+    state = observe(state, layout, scenario.observe_variant, scenario.encoding)
+    return spread_to_environment(state, layout, scenario.env_qubits - 1)
 
 
 def rewrite_record(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding) -> StateVector:
@@ -457,12 +466,10 @@ class TrialEngine:
         self.structure = structure = scenario.branch_structure
         encoding = scenario.encoding
         branches = range(structure.num_branches)
+        records = [record_value(encoding, structure.cat_width, b) for b in branches]
 
-        state = prepare_cat(structure, layout)
-        state = observe(state, layout, scenario.observe_variant, encoding)
-        state = spread_to_environment(state, layout, scenario.env_qubits - 1)
-        self.pre_probs = self._branch_probs_from_brain(state)
-        self.cat_before = self._cat_marginal(state)
+        state = _recorded_state(scenario, layout)
+        self.pre_probs, self.cat_before = self._marginals(state, records)
 
         participating = structure.branches_in(scenario.participation)
         if scenario.participation is Participation.ALL:
@@ -485,7 +492,7 @@ class TrialEngine:
         self._ok_patient = np.full(structure.num_branches, -1, dtype=np.int8)
         for branch in branches:
             if not self._participates[branch] and self.pre_probs[branch] > NORM_TOL:
-                self._ok_stay[branch] = self._branch_keeps_record(state, branch)
+                self._ok_stay[branch] = self._pinned(state, "C", branch, "B", records[branch])
 
         # Patient path: condition on the blank-memory observer, re-couple,
         # and tabulate the reachable branches.  Skipped when no branch was
@@ -494,11 +501,10 @@ class TrialEngine:
         self.cat_after_patient = None
         if self.pre_probs[self._participates].sum() > NORM_TOL:
             state = _recouple_patient(state, layout, encoding)
-            self.post_probs = self._branch_probs_from_brain(state)
-            self.cat_after_patient = self._cat_marginal(state)
+            self.post_probs, self.cat_after_patient = self._marginals(state, records)
             for branch in branches:
                 if self.post_probs[branch] > NORM_TOL:
-                    self._ok_patient[branch] = self._record_pins_cat(state, branch)
+                    self._ok_patient[branch] = self._pinned(state, "B", records[branch], "C", branch)
 
         self.labels = tuple(structure.label(b) for b in branches)
         self.cat_after_stay = tuple(
@@ -507,43 +513,23 @@ class TrialEngine:
         self._pre_cdf = clamped_cdf(self.pre_probs)
         self._post_cdf = None if self.post_probs is None else clamped_cdf(self.post_probs)
 
-    def _branch_probs_from_brain(self, state: StateVector) -> np.ndarray:
-        structure, encoding = self.structure, self.scenario.encoding
-        table = born_probabilities(state, self.layout, "B")
-        probs = np.array(
-            [
-                table[record_value(encoding, structure.cat_width, branch)]
-                for branch in range(structure.num_branches)
-            ]
-        )
+    def _marginals(self, state: StateVector, records) -> tuple:
+        """Per branch, the brain's record probability (array) and the cat's
+        marginal (tuple)."""
+        probs = born_probabilities(state, self.layout, "B")[records]
         residual = abs(float(probs.sum()) - 1.0)
         if residual > 1e-9:
             raise AssertionError(
                 f"brain register holds non-record content (residual {residual:.3e})"
             )
-        return probs
+        cat = born_probabilities(state, self.layout, "C")[: len(records)]
+        return probs, tuple(float(p) for p in cat)
 
-    def _cat_marginal(self, state: StateVector) -> tuple:
-        table = born_probabilities(state, self.layout, "C")
-        return tuple(float(p) for p in table[: self.structure.num_branches])
-
-    def _record_pins_cat(self, state: StateVector, branch: int) -> bool:
-        record = record_value(
-            self.scenario.encoding, self.structure.cat_width, branch
-        )
-        conditioned = project_onto(state, self.layout, "B", record)
-        return bool(
-            born_probabilities(conditioned, self.layout, "C")[branch] >= 1.0 - 1e-9
-        )
-
-    def _branch_keeps_record(self, state: StateVector, branch: int) -> bool:
-        record = record_value(
-            self.scenario.encoding, self.structure.cat_width, branch
-        )
-        conditioned = project_onto(state, self.layout, "C", branch)
-        return bool(
-            born_probabilities(conditioned, self.layout, "B")[record] >= 1.0 - 1e-9
-        )
+    def _pinned(self, state: StateVector, given: str, value: int, read: str, expect: int) -> bool:
+        """Whether conditioning register ``given`` on ``value`` leaves
+        register ``read`` holding ``expect``."""
+        conditioned = project_onto(state, self.layout, given, value)
+        return bool(born_probabilities(conditioned, self.layout, read)[expect] >= 1.0 - 1e-9)
 
     def run(self, seed: int) -> TrialReport:
         rng = as_generator(seed)
@@ -635,18 +621,16 @@ def run_trial(scenario: Scenario) -> TrialReport:
     return TrialEngine(scenario).run(scenario.rng_seed)
 
 
-def run_ensemble(scenario: Scenario, num_trials: int, *, base_seed: "int | None" = None,
-                 first_trial: int = 0) -> list:
-    """Independent trials with per-trial seeds ``derive_seed(base, i)``.
+def run_ensemble(scenario: Scenario, num_trials: int, *, first_trial: int = 0) -> list:
+    """Independent trials with per-trial seeds ``derive_seed(scenario.rng_seed, i)``.
 
     Trial ``i`` is identical to ``run_trial`` on the same scenario with
-    ``rng_seed = derive_seed(base, i)``, so serial and chunked ensembles
-    agree.
+    ``rng_seed = derive_seed(scenario.rng_seed, i)``, so serial and chunked
+    ensembles agree.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
-    base = scenario.rng_seed if base_seed is None else base_seed
-    return TrialEngine(scenario).run_batch(base, first_trial, num_trials).reports()
+    return TrialEngine(scenario).run_batch(scenario.rng_seed, first_trial, num_trials).reports()
 
 
 @dataclass(frozen=True)
@@ -731,8 +715,9 @@ def decoupling_sweep(num_record_qubits: int, accessible_values, num_encodings: i
     """
     if num_encodings < 1:
         raise ValueError("num_encodings must be >= 1")
-    results = {int(k): [] for k in accessible_values}
-    _check_record_split(num_record_qubits, results)
+    values = list(accessible_values)
+    _check_record_split(num_record_qubits, values)
+    results = {int(k): [] for k in values}
     for encoding_index in range(num_encodings):
         encoded = _haar_encodings(num_record_qubits, derive_seed(rng_seed, encoding_index))
         for k in results:

@@ -27,16 +27,18 @@ from .protocol import (
     RecordEncoding,
     Scenario,
     TrialEngine,
+    _recorded_state,
     canonical_scenario,
     clinic_erase,
     observe,
     prepare_cat,
     rewrite_record,
     scenario_layout,
-    spread_to_environment,
 )
 from .seeding import as_generator, derive_seed
 from .statevec import (
+    EXACT_TOL,
+    NORM_TOL,
     RegisterLayout,
     StateVector,
     born_probabilities,
@@ -69,6 +71,16 @@ class Verdict:
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
+def _below(check_name: str, metric: float, tolerance: float, details: str) -> Verdict:
+    """A verdict that passes when the metric is below its tolerance."""
+    return Verdict(check_name, metric < tolerance, metric, tolerance, details)
+
+
+def _above(check_name: str, metric: float, tolerance: float, details: str) -> Verdict:
+    """A verdict that passes when the metric is above its tolerance."""
+    return Verdict(check_name, metric > tolerance, metric, tolerance, details)
+
+
 def _random_two_branch(rng: np.random.Generator) -> BranchStructure:
     amplitudes = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return BranchStructure(1, 1, amplitudes / np.linalg.norm(amplitudes))
@@ -86,10 +98,11 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     ]
     gen = as_generator(rng_seed)
     structures += [_random_two_branch(gen) for _ in range(num_random_cats)]
+    # Every structure here has two branches, so they share one layout.
+    scenario = canonical_scenario()
+    layout = scenario_layout(scenario)
     worst = 0.0
     for structure in structures:
-        scenario = canonical_scenario(branch_structure=structure)
-        layout = scenario_layout(scenario)
         blank = prepare_cat(structure, layout)
         states = [
             observe(blank, layout, variant, scenario.encoding).amplitudes
@@ -98,15 +111,10 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
         for i in range(3):
             for j in range(i + 1, 3):
                 worst = max(worst, float(np.max(np.abs(states[i] - states[j]))))
-    return Verdict(
-        check_name="circuit_equivalence",
-        passed=worst < 1e-12,
-        metric=worst,
-        tolerance=1e-12,
-        details=(
-            f"max amplitude deviation across observation variants a/b/c over "
-            f"{len(structures)} cat preparations; passes below tolerance"
-        ),
+    return _below(
+        "circuit_equivalence", worst, EXACT_TOL,
+        f"max amplitude deviation across observation variants a/b/c over "
+        f"{len(structures)} cat preparations; passes below tolerance",
     )
 
 
@@ -138,26 +146,16 @@ def check_no_signalling(num_random_channels: int = 100, rng_seed: int = DEFAULT_
         gen = as_generator(derive_seed(rng_seed, 10_000 + index))
         scenario = canonical_scenario(branch_structure=_random_two_branch(gen))
         layout = scenario_layout(scenario)
-        state = observe(
-            prepare_cat(scenario.branch_structure, layout),
-            layout,
-            "a",
-            scenario.encoding,
-        )
+        state = _recorded_state(scenario, layout)
         before = partial_trace(state, layout, ["C"])
         erased = clinic_erase(state, layout, scenario.encoding)
         after = partial_trace(erased, layout, ["C"])
         worst = max(worst, trace_distance(before, after))
-    return Verdict(
-        check_name="no_signalling",
-        passed=worst < 1e-10,
-        metric=worst,
-        tolerance=1e-10,
-        details=(
-            f"max trace distance of the cat's reduced state under "
-            f"{num_random_channels} random local channels and the erase "
-            "pipeline; passes below tolerance"
-        ),
+    return _below(
+        "no_signalling", worst, NORM_TOL,
+        f"max trace distance of the cat's reduced state under "
+        f"{num_random_channels} random local channels and the erase "
+        "pipeline; passes below tolerance",
     )
 
 
@@ -175,31 +173,16 @@ def check_indistinguishability(scenario: "Scenario | None" = None) -> Verdict:
     if scenario.participation is not Participation.ALL:
         raise ValueError("indistinguishability check needs full participation")
     layout = scenario_layout(scenario)
-    observed = spread_to_environment(
-        observe(
-            prepare_cat(scenario.branch_structure, layout),
-            layout,
-            scenario.observe_variant,
-            scenario.encoding,
-        ),
-        layout,
-        scenario.env_qubits - 1,
-    )
+    observed = _recorded_state(scenario, layout)
     untouched = partial_trace(observed, layout, ["B"])
     steered_state = rewrite_record(
         clinic_erase(observed, layout, scenario.encoding), layout, scenario.encoding
     )
     steered = partial_trace(steered_state, layout, ["B"])
-    metric = trace_distance(untouched, steered)
-    return Verdict(
-        check_name="indistinguishability",
-        passed=metric < 1e-10,
-        metric=metric,
-        tolerance=1e-10,
-        details=(
-            "trace distance between the observer's reduced state with and "
-            "without steering; passes below tolerance"
-        ),
+    return _below(
+        "indistinguishability", trace_distance(untouched, steered), NORM_TOL,
+        "trace distance between the observer's reduced state with and "
+        "without steering; passes below tolerance",
     )
 
 
@@ -208,7 +191,7 @@ def check_coordination(scenario: "Scenario | None" = None) -> Verdict:
 
     With partial participation the erase must fail to disentangle the brain
     (steering blocked: entropy above 0.5 bits); with full participation it
-    must succeed (entropy below 1e-10).
+    must succeed (entropy below ``NORM_TOL``).
     """
     scenario = scenario or canonical_scenario(
         encoding=RecordEncoding.TAGGED, participation=Participation.DEAD_ONLY
@@ -221,25 +204,15 @@ def check_coordination(scenario: "Scenario | None" = None) -> Verdict:
     engine = TrialEngine(scenario)
     entropy = engine.brain_entropy
     if scenario.participation is Participation.ALL:
-        return Verdict(
-            check_name="coordination",
-            passed=entropy < 1e-10,
-            metric=entropy,
-            tolerance=1e-10,
-            details=(
-                "full participation: brain entropy after the erase in bits; "
-                "steering enabled, passes below tolerance"
-            ),
+        return _below(
+            "coordination", entropy, NORM_TOL,
+            "full participation: brain entropy after the erase in bits; "
+            "steering enabled, passes below tolerance",
         )
-    return Verdict(
-        check_name="coordination",
-        passed=entropy > 0.5,
-        metric=entropy,
-        tolerance=0.5,
-        details=(
-            f"participation={scenario.participation.value}: brain entropy "
-            "after the erase in bits; steering blocked, passes ABOVE tolerance"
-        ),
+    return _above(
+        "coordination", entropy, 0.5,
+        f"participation={scenario.participation.value}: brain entropy "
+        "after the erase in bits; steering blocked, passes ABOVE tolerance",
     )
 
 
@@ -269,15 +242,10 @@ def check_nonlinear_witness(lambda_: float = 2.0,
 
     linear_case = use_antilinear or lambda_ == 1.0 or abs(c0 * c1) == 0.0
     if linear_case:
-        return Verdict(
-            check_name="nonlinear_witness",
-            passed=metric < 1e-10,
-            metric=metric,
-            tolerance=1e-10,
-            details=(
-                "probability-preserving map: cat reduced state must not move; "
-                "passes below tolerance"
-            ),
+        return _below(
+            "nonlinear_witness", metric, NORM_TOL,
+            "probability-preserving map: cat reduced state must not move; "
+            "passes below tolerance",
         )
     p0, p1 = nonlinear_probabilities(c0, c1, lambda_)
     predicted_shift = abs(p0 - abs(c0) ** 2)
@@ -285,8 +253,8 @@ def check_nonlinear_witness(lambda_: float = 2.0,
     marginal_error = max(abs(marginal[0] - p0), abs(marginal[1] - p1))
     passed = (
         metric > 1e-6
-        and abs(metric - predicted_shift) <= 1e-12
-        and marginal_error <= 1e-12
+        and abs(metric - predicted_shift) <= EXACT_TOL
+        and marginal_error <= EXACT_TOL
     )
     return Verdict(
         check_name="nonlinear_witness",

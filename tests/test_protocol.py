@@ -545,7 +545,8 @@ class TestDecoupling:
 
     @pytest.mark.parametrize(
         "num_record_qubits, accessible, field",
-        [(0, 0, "num_record_qubits"), (6, 7, "accessible"), (6, -1, "accessible")],
+        [(0, 0, "num_record_qubits"), (6, 7, "accessible"), (6, -1, "accessible"),
+         (4, 2.5, "accessible")],
     )
     def test_sweep_refuses_bad_split(self, num_record_qubits, accessible, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
