@@ -22,6 +22,8 @@ from .statevec import (
     RegisterLayout,
     StateVector,
     _apply_matrix,
+    _frozen_array,
+    _subsystem_qubits,
     apply_gate,
 )
 
@@ -39,7 +41,7 @@ class KrausChannel:
     arity: int
 
     def __post_init__(self):
-        ops = tuple(np.array(op, dtype=np.complex128) for op in self.operators)
+        ops = tuple(_frozen_array(op) for op in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         dim = 2**self.arity
@@ -48,7 +50,6 @@ class KrausChannel:
                 raise ValueError(
                     f"Kraus operators must all be {dim}x{dim} for arity {self.arity}"
                 )
-            op.flags.writeable = False
         object.__setattr__(self, "operators", ops)
 
 
@@ -73,13 +74,19 @@ class CptpCheck(NamedTuple):
     residual: float
 
 
+def _completeness_sum(operators) -> np.ndarray:
+    """The sum of K†K over equal-size operators, accumulated in listed order."""
+    dim = operators[0].shape[0]
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for op in operators:
+        total += op.conj().T @ op
+    return total
+
+
 def validate_cptp(channel: KrausChannel, tolerance: float = NORM_TOL) -> CptpCheck:
     """Check the completeness relation; residual is the Frobenius deviation."""
-    dim = 2**channel.arity
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for op in channel.operators:
-        total += op.conj().T @ op
-    residual = float(np.linalg.norm(total - np.eye(dim)))
+    total = _completeness_sum(channel.operators)
+    residual = float(np.linalg.norm(total - np.eye(2**channel.arity)))
     return CptpCheck(residual <= tolerance, residual)
 
 
@@ -90,7 +97,7 @@ def apply_local_channel(state, layout: RegisterLayout, subsystem: str, channel: 
     Accepts a StateVector or DensityMatrix.  The channel must pass
     :func:`validate_cptp`.
     """
-    targets = layout.qubits(subsystem)
+    targets = _subsystem_qubits(state, layout, subsystem)
     if len(targets) != channel.arity:
         raise ValueError(
             f"channel arity {channel.arity} does not match subsystem "
@@ -128,10 +135,7 @@ def random_channel(arity: int, num_kraus: int, rng) -> KrausChannel:
         real = gen.standard_normal((dim, dim))
         imag = gen.standard_normal((dim, dim))
         raw.append((real + 1j * imag) / np.sqrt(2.0))
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for op in raw:
-        total += op.conj().T @ op
-    eigenvalues, vectors = np.linalg.eigh(total)
+    eigenvalues, vectors = np.linalg.eigh(_completeness_sum(raw))
     inv_sqrt = vectors @ np.diag(eigenvalues**-0.5) @ vectors.conj().T
     return KrausChannel(tuple(op @ inv_sqrt for op in raw), arity)
 
@@ -143,7 +147,7 @@ def apply_nonlinear_filter(state: StateVector, layout: RegisterLayout, filt: Non
     Raises when the filtered state has no remaining support (lambda = 0 with
     nothing on the target's 0 branch).
     """
-    targets = layout.qubits(filt.target)
+    targets = _subsystem_qubits(state, layout, filt.target)
     if len(targets) != 1:
         raise ValueError("nonlinear filter acts on a one-qubit subsystem")
     if filt.lambda_ == 1.0:

@@ -28,7 +28,7 @@ are mutually orthogonal.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -43,13 +43,15 @@ from .seeding import (
     first_two_uniforms,
 )
 from .statevec import (
-    _X,
+    _FIXED_GATES,
     NORM_TOL,
     DensityMatrix,
     GateSpec,
     RegisterLayout,
     StateVector,
+    _frozen_array,
     apply_gate,
+    basis_index,
     born_probabilities,
     partial_trace,
     project_onto,
@@ -104,8 +106,7 @@ class BranchStructure:
             )
         n = self.num_branches
         weights = np.full(n, 1.0 / math.sqrt(n)) if self.weights is None else self.weights
-        weights = np.array(weights, dtype=np.complex128)
-        weights.flags.writeable = False
+        weights = _frozen_array(weights)
         object.__setattr__(self, "weights", weights)
         if weights.shape != (n,):
             raise ValueError(f"weights: expected {n} weights, got shape {weights.shape}")
@@ -153,7 +154,7 @@ class Scenario:
     """Complete trial configuration.  With ``BranchStructure`` it holds every
     scenario rule; each message starts with the field it rejects."""
 
-    branch_structure: BranchStructure
+    branch_structure: BranchStructure = field(default_factory=BranchStructure.equal)
     env_qubits: int = 1
     encoding: RecordEncoding = RecordEncoding.PLAIN
     observe_variant: str = "a"
@@ -192,18 +193,8 @@ class Scenario:
 
 def canonical_scenario(**overrides) -> Scenario:
     """Symmetric two-branch scenario: one environment copy, plain records,
-    full participation, no filter."""
-    base = dict(
-        branch_structure=BranchStructure.equal(1, 1),
-        env_qubits=1,
-        encoding=RecordEncoding.PLAIN,
-        observe_variant="a",
-        participation=Participation.ALL,
-        nonlinear_lambda=None,
-        rng_seed=0,
-    )
-    base.update(overrides)
-    return Scenario(**base)
+    full participation, no filter.  These are ``Scenario``'s defaults."""
+    return Scenario(**overrides)
 
 
 def scenario_layout(scenario: Scenario) -> RegisterLayout:
@@ -282,15 +273,12 @@ def prepare_cat(branch_structure: BranchStructure, layout: "RegisterLayout | Non
     """
     width = branch_structure.cat_width
     if layout is None:
-        amps = np.zeros(2**width, dtype=np.complex128)
-        amps[: branch_structure.num_branches] = branch_structure.weights
-        return StateVector(amps, width)
+        layout = RegisterLayout.from_sizes([("C", width)])
     if layout.size("C") != width:
         raise ValueError("layout cat register does not match the branch structure")
     amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
-    step = 2 ** (layout.total_qubits - width)  # C occupies the leading qubits
     for branch, weight in enumerate(branch_structure.weights):
-        amps[branch * step] = weight
+        amps[basis_index(layout, {"C": branch})] = weight
     return StateVector(amps, layout.total_qubits)
 
 
@@ -360,7 +348,7 @@ def _participation_flag_gates(layout: RegisterLayout, encoding: RecordEncoding,
         pattern = [(branch >> (len(value_qubits) - 1 - i)) & 1 for i in range(len(value_qubits))]
         pre = [GateSpec.x(q) for q, bit in zip(value_qubits, pattern) if bit == 0]
         gates.extend(pre)
-        gates.append(GateSpec.controlled(_X, value_qubits, (flag,)))
+        gates.append(GateSpec.controlled(_FIXED_GATES["x"], value_qubits, (flag,)))
         gates.extend(pre)
     return gates
 
@@ -382,8 +370,9 @@ def conditional_clinic(state: StateVector, layout: RegisterLayout,
     flag = layout.qubits("F")[0]
     brain = layout.qubits("B")
     ancilla = _ancilla_record_qubits(layout, encoding)
-    gates = [GateSpec.controlled(_X, (flag, b), (a,)) for b, a in zip(brain, ancilla)]
-    gates += [GateSpec.controlled(_X, (flag, a), (b,)) for b, a in zip(brain, ancilla)]
+    x = _FIXED_GATES["x"]
+    gates = [GateSpec.controlled(x, (flag, b), (a,)) for b, a in zip(brain, ancilla)]
+    gates += [GateSpec.controlled(x, (flag, a), (b,)) for b, a in zip(brain, ancilla)]
     return _apply_all(state, gates)
 
 
@@ -420,9 +409,8 @@ def reobserve(state: StateVector, layout: RegisterLayout, encoding: RecordEncodi
         raise ValueError("reobserve: brain register is not blank (erasure incomplete)")
     recoupled = _recouple_patient(state, layout, encoding)
     outcome, post = sample_outcome(recoupled, layout, "B", rng)
-    width = layout.size("C")
-    branch = outcome & ((1 << width) - 1) if encoding is RecordEncoding.TAGGED else outcome
-    return branch, post
+    # Tagged records carry the written flag above the branch bits.
+    return outcome & ((1 << layout.size("C")) - 1), post
 
 
 @dataclass(frozen=True)
@@ -670,10 +658,8 @@ def _decoupling_metrics(encoded_zero: np.ndarray, encoded_one: np.ndarray,
     if accessible == num_record_qubits:
         return DecouplingResult(0.0, 0.0, True)
     hidden = num_record_qubits - accessible
-    if accessible > 0:
-        layout = RegisterLayout.from_sizes([("accessible", accessible), ("hidden", hidden)])
-    else:
-        layout = RegisterLayout.from_sizes([("hidden", hidden)])
+    parts = (("accessible", accessible), ("hidden", hidden))
+    layout = RegisterLayout.from_sizes([(name, size) for name, size in parts if size])
     rho_zero = partial_trace(StateVector(encoded_zero, num_record_qubits), layout, "hidden")
     rho_one = partial_trace(StateVector(encoded_one, num_record_qubits), layout, "hidden")
     distance = trace_distance(rho_zero, rho_one)

@@ -26,20 +26,21 @@ from .seeding import as_generator, draw_index
 NORM_TOL = 1e-10
 EXACT_TOL = 1e-12
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
 
-
-def _frozen_array(values, dtype=np.complex128) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    """A read-only complex copy of ``values``."""
+    arr = np.array(values, dtype=np.complex128)
     arr.flags.writeable = False
     return arr
+
+
+# The gates with a fixed matrix, by kind; the matrix size fixes the arity.
+_FIXED_GATES = {
+    "x": _frozen_array([[0, 1], [1, 0]]),
+    "h": _frozen_array(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)),
+    "cnot": _frozen_array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "swap": _frozen_array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+}
 
 
 def _is_unitary(matrix: np.ndarray) -> bool:
@@ -172,10 +173,10 @@ class GateSpec:
             raise ValueError("gate targets must be distinct")
         if any(t < 0 for t in self.targets):
             raise ValueError("gate targets must be non-negative")
-        fixed_arity = {"x": 1, "h": 1, "cnot": 2, "swap": 2}
-        if self.kind in fixed_arity:
-            if len(self.targets) != fixed_arity[self.kind]:
-                raise ValueError(f"{self.kind} takes {fixed_arity[self.kind]} target(s)")
+        if self.kind in _FIXED_GATES:
+            arity = _FIXED_GATES[self.kind].shape[0].bit_length() - 1
+            if len(self.targets) != arity:
+                raise ValueError(f"{self.kind} takes {arity} target(s)")
             if self.matrix is not None:
                 raise ValueError(f"{self.kind} does not take an explicit matrix")
         elif self.kind in ("u", "controlled-u"):
@@ -213,24 +214,18 @@ class GateSpec:
 
     @classmethod
     def unitary(cls, matrix, targets) -> "GateSpec":
-        return cls("u", tuple(targets), _frozen_array(matrix))
+        return cls("u", tuple(targets), matrix)
 
     @classmethod
     def controlled(cls, matrix, controls, targets) -> "GateSpec":
-        return cls("controlled-u", tuple(controls) + tuple(targets), _frozen_array(matrix))
+        return cls("controlled-u", tuple(controls) + tuple(targets), matrix)
 
     def resolved_matrix(self) -> np.ndarray:
         """Concrete 2^k x 2^k unitary over ``targets`` in listed order."""
-        if self.kind == "x":
-            return _X
-        if self.kind == "h":
-            return _H
-        if self.kind == "cnot":
-            return _CNOT
-        if self.kind == "swap":
-            return _SWAP
+        if self.kind in _FIXED_GATES:
+            return _FIXED_GATES[self.kind]
         if self.kind == "u":
-            return np.asarray(self.matrix)
+            return self.matrix
         # controlled-u: identity except the all-controls-1 block
         dim = 2 ** len(self.targets)
         acted = self.matrix.shape[0]
@@ -328,7 +323,13 @@ def init_register(layout: RegisterLayout, basis_label) -> StateVector:
     return StateVector(amps, layout.total_qubits)
 
 
-def _subsystem_qubits(layout: RegisterLayout, keep) -> list:
+def _subsystem_qubits(state, layout: RegisterLayout, keep) -> list:
+    """Qubits of the named subsystems, in listed order, after checking that
+    the layout covers exactly the state's register."""
+    if layout.total_qubits != state.num_qubits:
+        raise ValueError(
+            f"layout has {layout.total_qubits} qubits but the state has {state.num_qubits}"
+        )
     if isinstance(keep, str):
         keep = [keep]
     qubits = [q for name in keep for q in layout.qubits(name)]
@@ -342,7 +343,7 @@ def partial_trace(state, layout: RegisterLayout, keep) -> DensityMatrix:
 
     Accepts a StateVector or DensityMatrix over the full layout.
     """
-    keep_qubits = _subsystem_qubits(layout, keep)
+    keep_qubits = _subsystem_qubits(state, layout, keep)
     n = layout.total_qubits
     if isinstance(state, StateVector):
         block = _qubits_first(state.amplitudes, n, keep_qubits)
@@ -359,7 +360,8 @@ def partial_trace(state, layout: RegisterLayout, keep) -> DensityMatrix:
 
 def born_probabilities(state: StateVector, layout: RegisterLayout, subsystem: str) -> np.ndarray:
     """Measurement probability table over a subsystem's computational basis."""
-    block = _qubits_first(state.amplitudes, state.num_qubits, layout.qubits(subsystem))
+    qubits = _subsystem_qubits(state, layout, subsystem)
+    block = _qubits_first(state.amplitudes, state.num_qubits, qubits)
     probs = np.sum(np.abs(block) ** 2, axis=1)
     total_deviation = abs(float(probs.sum()) - 1.0)
     if total_deviation > NORM_TOL:
@@ -369,7 +371,7 @@ def born_probabilities(state: StateVector, layout: RegisterLayout, subsystem: st
 
 def project_onto(state: StateVector, layout: RegisterLayout, subsystem: str, value: int) -> StateVector:
     """Project onto ``subsystem == value`` and renormalize."""
-    qubits = layout.qubits(subsystem)
+    qubits = _subsystem_qubits(state, layout, subsystem)
     if not 0 <= value < 2 ** len(qubits):
         raise ValueError(f"value {value} out of range for subsystem {subsystem!r}")
     n = state.num_qubits

@@ -65,6 +65,22 @@ def brute_filter(amplitudes, num_qubits, target_qubit, weight):
     return out / norm
 
 
+def brute_permutation(amplitudes, num_qubits, gates):
+    """X, CNOT and multi-controlled-X gates as explicit basis relabelling:
+    each index whose control bits are all 1 moves to the index with the last
+    target bit flipped."""
+    out = np.array(amplitudes, dtype=complex)
+    for gate in gates:
+        *controls, target = gate.targets
+        moved = np.empty_like(out)
+        for index in range(2**num_qubits):
+            fire = all((index >> (num_qubits - 1 - q)) & 1 for q in controls)
+            flip = 1 << (num_qubits - 1 - target) if fire else 0
+            moved[index ^ flip] = out[index]
+        out = moved
+    return out
+
+
 def brute_kraus_on_last(amplitudes, dim_first, kraus_ops):
     """Channel on the trailing subsystem of a bipartite pure state, via
     explicit Kronecker embedding."""

@@ -232,6 +232,29 @@ class TestCmdSweep:
         ]
 
 
+def per_trial_run(**scenario):
+    return dict(CANONICAL, scenario=dict(CANONICAL["scenario"], **scenario), emit_per_trial=True)
+
+
+TAGGED = {"encoding": "tagged"}
+# Every per-trial run the CLI accepts (plain records need full
+# participation), one sweep, and the verify report.
+REPORT_CASES = {
+    "plain-all": ("run", per_trial_run()),
+    "plain-all-lambda": ("run", per_trial_run(nonlinear_lambda=0.5)),
+    "tagged-all": ("run", per_trial_run(**TAGGED)),
+    "tagged-dead_only": ("run", per_trial_run(**TAGGED, participation="dead_only")),
+    "tagged-alive_only": ("run", per_trial_run(**TAGGED, participation="alive_only")),
+    "four-branch-tagged-dead_only": (
+        "run", per_trial_run(**TAGGED, participation="dead_only", num_alive=2, num_dead=2)
+    ),
+    "env_qubits-sweep": (
+        "sweep", dict(CANONICAL, sweep={"axis": "env_qubits", "values": [1, 2]})
+    ),
+    "verify": ("verify", None),
+}
+
+
 class TestMainEntry:
     def test_run_round_trip(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", dict(CANONICAL, num_trials=200))
@@ -259,10 +282,14 @@ class TestMainEntry:
         assert main(["run", path, "--format", "csv", "--out", str(out), "--trials", "50"]) == 0
         assert out.read_text().startswith("quantity,value")
 
-    def test_json_report_bytes_are_canonical(self, tmp_path):
-        path = write_config(tmp_path, "c.json", dict(CANONICAL, emit_per_trial=True))
+    @pytest.mark.parametrize("command, document", REPORT_CASES.values(), ids=list(REPORT_CASES))
+    def test_json_report_bytes_are_canonical(self, tmp_path, command, document):
         out = tmp_path / "r.json"
-        assert main(["run", path, "--out", str(out), "--trials", "40"]) == 0
+        if command == "verify":
+            argv = ["verify"]
+        else:
+            argv = [command, write_config(tmp_path, "c.json", document), "--trials", "40"]
+        assert main([*argv, "--out", str(out)]) == 0
         written = out.read_bytes()
         assert written == canonical_payload_bytes(json.loads(written)) + b"\n"
 

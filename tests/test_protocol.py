@@ -8,6 +8,7 @@ from realitysteer import (
     GateSpec,
     Participation,
     RecordEncoding,
+    RegisterLayout,
     apply_gate,
     basis_index,
     born_probabilities,
@@ -84,6 +85,12 @@ class TestPrepareCat:
         assert abs(state.amplitudes[idx_alive] - SQRT_HALF) < 1e-15
         assert abs(state.amplitudes[idx_dead] - SQRT_HALF) < 1e-15
         assert np.count_nonzero(state.amplitudes) == 2
+
+    def test_cat_register_not_first(self, biased_structure):
+        layout = RegisterLayout.from_sizes([("B", 1), ("C", 1)])
+        state = prepare_cat(biased_structure, layout)
+        assert np.allclose(born_probabilities(state, layout, "C"), [0.36, 0.64], atol=1e-15)
+        assert np.allclose(born_probabilities(state, layout, "B"), [1.0, 0.0], atol=1e-15)
 
 
 class TestObserve:

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realitysteer import (
     DensityMatrix,
     GateSpec,
+    KrausChannel,
+    NonlinearFilter,
     RegisterLayout,
     StateVector,
     apply_gate,
+    apply_local_channel,
+    apply_nonlinear_filter,
     basis_index,
     born_probabilities,
     init_register,
@@ -17,7 +23,7 @@ from realitysteer import (
     trace_distance,
     von_neumann_entropy,
 )
-from conftest import brute_partial_trace, brute_partial_trace_dm
+from conftest import brute_partial_trace, brute_partial_trace_dm, brute_permutation
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -159,6 +165,39 @@ class TestApplyGate:
                 target = int(rng.integers(0, n))
                 state = apply_gate(state, GateSpec.unitary(q, (target,)))
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
+
+
+X_MATRIX = np.array([[0, 1], [1, 0]])
+
+
+@st.composite
+def permutation_circuits(draw):
+    """Random amplitudes on 1-8 qubits and a list of X, CNOT and
+    multi-controlled-X gates on them."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        qubits = draw(st.permutations(range(n)))
+        arity = draw(st.integers(1, n))
+        if arity == 1:
+            gates.append(GateSpec.x(qubits[0]))
+        elif arity == 2 and draw(st.booleans()):
+            gates.append(GateSpec.cnot(qubits[0], qubits[1]))
+        else:
+            gates.append(GateSpec.controlled(X_MATRIX, qubits[: arity - 1], (qubits[arity - 1],)))
+    return StateVector(amps / np.linalg.norm(amps), n), gates
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=permutation_circuits())
+def test_permutation_gates_match_bit_oracle(circuit):
+    state, gates = circuit
+    expected = brute_permutation(state.amplitudes, state.num_qubits, gates)
+    for gate in gates:
+        state = apply_gate(state, gate)
+    assert np.array_equal(state.amplitudes, expected)
 
 
 class TestPartialTrace:
@@ -364,6 +403,31 @@ class TestValueInvariants:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    def test_gate_matrices_are_read_only(self):
+        for gate in (GateSpec.x(0), GateSpec.h(0), GateSpec.cnot(0, 1), GateSpec.swap(0, 1)):
+            with pytest.raises(ValueError):
+                gate.resolved_matrix()[0, 0] = 0.0
+
     def test_basis_index_big_endian(self):
         assert basis_index(CBE, {"C": 1}) == 0b100
         assert basis_index(CBE, {"E": 1}) == 0b001
+
+
+LAYOUT_KERNELS = {
+    "born_probabilities": lambda state, layout: born_probabilities(state, layout, "B"),
+    "project_onto": lambda state, layout: project_onto(state, layout, "B", 0),
+    "partial_trace": lambda state, layout: partial_trace(state, layout, ["B"]),
+    "apply_local_channel": lambda state, layout: apply_local_channel(
+        state, layout, "B", KrausChannel((np.eye(2),), 1)
+    ),
+    "apply_nonlinear_filter": lambda state, layout: apply_nonlinear_filter(
+        state, layout, NonlinearFilter(0.5, "B")
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", LAYOUT_KERNELS.values(), ids=list(LAYOUT_KERNELS))
+def test_layout_of_wrong_size_is_refused(kernel):
+    layout = RegisterLayout.from_sizes([("C", 1), ("B", 1)])
+    with pytest.raises(ValueError, match="layout has 2 qubits but the state has 3"):
+        kernel(init_register(CBE, "100"), layout)
