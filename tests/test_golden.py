@@ -58,5 +58,42 @@ def test_verify_payload_digest(tmp_path):
     assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == VERIFY_DIGEST
 
 
+# Per-trial payloads.  No shipped config sets ``emit_per_trial``, so these
+# runs switch it on: a shipped config read and changed in place, and a
+# four-branch tagged dead_only run.  They pin every ``per_trial`` row.
+FOUR_BRANCH_RUN = {
+    "scenario": {
+        "num_alive": 2,
+        "num_dead": 2,
+        "weights": [0.5, 0.5, [0.3, 0.4], [0.0, -0.5]],
+        "env_qubits": 2,
+        "encoding": "tagged",
+        "participation": "dead_only",
+        "rng_seed": 11,
+    },
+    "num_trials": 3000,
+}
+PER_TRIAL_RUNS = {
+    "biased_tagged_run.json": json.loads((CONFIG_DIR / "biased_tagged_run.json").read_text()),
+    "four_branch_tagged_dead_only": FOUR_BRANCH_RUN,
+}
+PER_TRIAL_DIGESTS = {
+    "biased_tagged_run.json": "855bc719e4a72c5bb981023462fd371c3bedf50ad11711bfeb7bd9474931a12c",
+    "four_branch_tagged_dead_only": "cba724fc22a2e5d8ea0b20d000af9d1e351c1b9e2076f6709e092b9fafbb086c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_TRIAL_DIGESTS))
+def test_per_trial_payload_digest(name, tmp_path):
+    path = tmp_path / "config.json"
+    document = dict(PER_TRIAL_RUNS[name], emit_per_trial=True)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cmd_run(parse_config(str(path)), out=str(out)) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
+    assert len(payload["per_trial"]) == document["num_trials"]
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == PER_TRIAL_DIGESTS[name]
+
+
 def test_every_config_is_pinned():
     assert sorted(path.name for path in CONFIG_DIR.glob("*.json")) == sorted(DIGESTS)
