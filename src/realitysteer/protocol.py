@@ -86,7 +86,8 @@ class BranchStructure:
 
     Branch indices run alive-first: ``0..num_alive-1`` are alive,
     ``num_alive..num_alive+num_dead-1`` are dead.  ``weights=None`` means
-    equal weights.
+    equal weights.  Two structures are equal when their counts and weights
+    are; ``hash`` agrees, so a ``Scenario`` holding one hashes by value.
     """
 
     num_alive: int
@@ -114,6 +115,18 @@ class BranchStructure:
             deviation = abs(float(np.sum(np.abs(weights) ** 2)) - 1.0)
         if not deviation <= NORM_TOL:
             raise ValueError(f"weights: squared amplitudes sum off unity by {deviation:.3e}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BranchStructure):
+            return NotImplemented
+        return (
+            (self.num_alive, self.num_dead) == (other.num_alive, other.num_dead)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self) -> int:
+        # Python complex values hash equal when they compare equal (0.0 and -0.0 too).
+        return hash((self.num_alive, self.num_dead, *self.weights.tolist()))
 
     @classmethod
     def equal(cls, num_alive: int = 1, num_dead: int = 1) -> "BranchStructure":

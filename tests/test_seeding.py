@@ -12,6 +12,7 @@ from realitysteer import (
     BranchStructure,
     Participation,
     RecordEncoding,
+    Scenario,
     TrialEngine,
     canonical_scenario,
     derive_seed,
@@ -148,6 +149,18 @@ def test_batches_compare_as_plain_bools():
     assert (one != two) is False
     assert (one == two) is True
     assert (one != other) is True
+
+
+def test_equal_scenarios_give_equal_batches():
+    assert Scenario() == Scenario()
+    assert hash(Scenario()) == hash(Scenario())
+    assert BranchStructure.two_branch(0.6, 0.8) == BranchStructure.two_branch(0.6, 0.8)
+    assert BranchStructure.two_branch(0.6, 0.8) != BranchStructure.two_branch(0.8, 0.6)
+    assert BranchStructure.equal(1, 2) != BranchStructure.equal(2, 1)
+    one = TrialEngine(Scenario()).run_batch(5, 0, 300)
+    two = TrialEngine(Scenario()).run_batch(5, 0, 300)
+    assert (one == two) is True
+    assert (one != two) is False
 
 
 def test_batch_fails_at_the_first_trial_the_scalar_path_rejects():
