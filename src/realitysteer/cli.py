@@ -30,6 +30,9 @@ naming its key.
 Reports are JSON documents ``{"payload": ..., "metadata": ...}``.  The
 payload is fully determined by config and seed and serializes byte-
 identically across runs; timestamps live only in the metadata block.
+A run's ``per_trial`` rows are written straight from the ``TrialBatch``
+columns, each distinct row serialized once, with the bytes that
+``canonical_payload_bytes`` gives for ``TrialBatch.rows()``.
 """
 
 import argparse
@@ -49,6 +52,7 @@ from .protocol import (
     Participation,
     RecordEncoding,
     Scenario,
+    TrialBatch,
     TrialEngine,
     _check_record_split,
     decoupling_sweep,
@@ -310,7 +314,33 @@ def _open_report(path: str, mode: str, **kwargs):
     return open(path, mode, **kwargs)
 
 
-def _write_document(payload: dict, path: str):
+# Holds the place of the per-trial array while the rest of a report is
+# serialized; no payload string contains a NUL.
+_PER_TRIAL_MARKER = "\0per_trial\0"
+
+
+def _per_trial_bytes(batch: TrialBatch, depth: int) -> bytes:
+    """``batch.rows()`` of a non-empty batch as ``canonical_payload_bytes``
+    writes that list nested ``depth`` levels deep.  A trial's row follows
+    from its (pre, post) pair, so each distinct row is serialized once and
+    the cached texts are joined in trial order."""
+    codes = batch.pre * len(batch.engine.labels) + batch.post
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    distinct = TrialBatch(batch.engine, batch.pre[first], batch.post[first],
+                          batch.erased[first], batch.consistent[first])
+    newline = "\n" + "  " * (depth + 1)
+    texts = [json.dumps(row, sort_keys=True, indent=2).replace("\n", newline)
+             for row in distinct.rows()]
+    rows = ("," + newline).join([texts[i] for i in inverse.tolist()])
+    return f"[{newline}{rows}\n{'  ' * depth}]".encode("ascii")
+
+
+def _write_document(payload: dict, path: str, per_trial: "TrialBatch | None" = None):
+    """Write ``payload`` and the metadata as one canonical JSON document.  A
+    ``per_trial`` batch becomes ``payload["per_trial"]``, byte for byte as if
+    that key held ``per_trial.rows()``."""
+    if per_trial is not None:
+        payload = dict(payload, per_trial=_PER_TRIAL_MARKER)
     document = {
         "payload": payload,
         "metadata": {
@@ -318,14 +348,19 @@ def _write_document(payload: dict, path: str):
             "package_version": __version__,
         },
     }
+    data = canonical_payload_bytes(document)
+    if per_trial is not None:
+        head, tail = data.split(json.dumps(_PER_TRIAL_MARKER).encode("ascii"))
+        data = head + _per_trial_bytes(per_trial, depth=2) + tail  # document.payload.per_trial
     with _open_report(path, "wb") as handle:
-        handle.write(canonical_payload_bytes(document) + b"\n")
+        handle.write(data + b"\n")
 
 
-def _write_report(path: str, fmt: str, payload: dict, header, rows):
-    """Write ``payload`` as a JSON document, or ``header`` and ``rows`` as CSV."""
+def _write_report(path: str, fmt: str, payload: dict, header, rows, per_trial=None):
+    """Write ``payload`` (plus any ``per_trial`` batch) as a JSON document,
+    or ``header`` and ``rows`` as CSV."""
     if fmt != "csv":
-        _write_document(payload, path)
+        _write_document(payload, path, per_trial)
         return
     with _open_report(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -347,11 +382,10 @@ def cmd_run(config: RunConfig, out: "str | None" = None, threads: int = 1,
         },
         "summary": summary,
     }
-    if config.emit_per_trial:
-        payload["per_trial"] = batch.rows()
     path = out or config.output_path or "run_report.json"
     rows = [[key, json.dumps(value, sort_keys=True)] for key, value in sorted(summary.items())]
-    _write_report(path, fmt, payload, ["quantity", "value"], rows)
+    per_trial = batch if config.emit_per_trial else None
+    _write_report(path, fmt, payload, ["quantity", "value"], rows, per_trial)
     post = summary["post_outcome_frequencies"]
     print(f"ran {num_trials} trials of a {config.scenario.branch_structure.num_branches}-branch scenario")
     for label in sorted(post):

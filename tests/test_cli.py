@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import realitysteer
+from realitysteer import TrialEngine
 from realitysteer.cli import (
     ConfigError,
     RunConfig,
@@ -253,6 +254,25 @@ REPORT_CASES = {
     ),
     "verify": ("verify", None),
 }
+
+
+PER_TRIAL_RUNS = {name: document for name, (command, document) in REPORT_CASES.items()
+                  if command == "run"}
+
+
+@pytest.mark.parametrize("trials", [1, 40, 4000])
+@pytest.mark.parametrize("document", PER_TRIAL_RUNS.values(), ids=list(PER_TRIAL_RUNS))
+def test_per_trial_bytes_match_the_rows_writer(tmp_path, document, trials):
+    """The per-trial array is written from the batch columns; the file equals
+    the document rebuilt with ``TrialBatch.rows()`` and serialized whole."""
+    config = parse_config(write_config(tmp_path, "c.json", document))
+    out = tmp_path / "r.json"
+    assert cmd_run(config, out=str(out), trials=trials) == 0
+    written = out.read_bytes()
+    rebuilt = json.loads(written)
+    batch = TrialEngine(config.scenario).run_batch(config.scenario.rng_seed, 0, trials)
+    rebuilt["payload"]["per_trial"] = batch.rows()
+    assert written == canonical_payload_bytes(rebuilt) + b"\n"
 
 
 class TestMainEntry:
