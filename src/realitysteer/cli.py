@@ -319,20 +319,20 @@ def _open_report(path: str, mode: str, **kwargs):
 _PER_TRIAL_MARKER = "\0per_trial\0"
 
 
-def _per_trial_bytes(batch: TrialBatch, depth: int) -> bytes:
+def _per_trial_bytes(batch: TrialBatch) -> bytes:
     """``batch.rows()`` of a non-empty batch as ``canonical_payload_bytes``
-    writes that list nested ``depth`` levels deep.  A trial's row follows
-    from its (pre, post) pair, so each distinct row is serialized once and
-    the cached texts are joined in trial order."""
+    writes that list at ``document["payload"]["per_trial"]``, two levels
+    deep.  A trial's row follows from its (pre, post) pair, so each distinct
+    row is serialized once and the cached texts are joined in trial order."""
     codes = batch.pre * len(batch.engine.labels) + batch.post
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     distinct = TrialBatch(batch.engine, batch.pre[first], batch.post[first],
                           batch.erased[first], batch.consistent[first])
-    newline = "\n" + "  " * (depth + 1)
+    newline = "\n" + "  " * 3
     texts = [json.dumps(row, sort_keys=True, indent=2).replace("\n", newline)
              for row in distinct.rows()]
     rows = ("," + newline).join([texts[i] for i in inverse.tolist()])
-    return f"[{newline}{rows}\n{'  ' * depth}]".encode("ascii")
+    return f"[{newline}{rows}\n    ]".encode("ascii")
 
 
 def _write_document(payload: dict, path: str, per_trial: "TrialBatch | None" = None):
@@ -351,7 +351,7 @@ def _write_document(payload: dict, path: str, per_trial: "TrialBatch | None" = N
     data = canonical_payload_bytes(document)
     if per_trial is not None:
         head, tail = data.split(json.dumps(_PER_TRIAL_MARKER).encode("ascii"))
-        data = head + _per_trial_bytes(per_trial, depth=2) + tail  # document.payload.per_trial
+        data = head + _per_trial_bytes(per_trial) + tail
     with _open_report(path, "wb") as handle:
         handle.write(data + b"\n")
 
