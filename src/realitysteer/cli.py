@@ -30,8 +30,8 @@ naming its key.
 Reports are JSON documents ``{"payload": ..., "metadata": ...}``.  The
 payload is fully determined by config and seed and serializes byte-
 identically across runs; timestamps live only in the metadata block.
-A run's ``per_trial`` rows are written straight from the ``TrialBatch``
-columns, each distinct row serialized once, with the bytes that
+A run's ``per_trial`` rows are written from ``TrialBatch.outcomes()``, each
+distinct report serialized once, with the bytes that
 ``canonical_payload_bytes`` gives for ``TrialBatch.rows()``.
 """
 
@@ -58,6 +58,7 @@ from .protocol import (
     decoupling_sweep,
     scenario_layout,
 )
+from .statevec import EXACT_TOL
 from .verify import CHECK_NAMES, DEFAULT_SEED, expected_post_probabilities, run_checks
 
 EXIT_OK = 0
@@ -281,20 +282,18 @@ def _run_trials(scenario: Scenario, num_trials: int, threads: int = 1):
     return TrialEngine(scenario).run_batch(scenario.rng_seed, 0, num_trials)
 
 
-def _summarize(scenario: Scenario, batch) -> dict:
+def _summarize(batch: TrialBatch) -> dict:
     engine = batch.engine
     labels = engine.labels
     num = len(batch)
     pre_counts = np.bincount(batch.pre, minlength=len(labels)).tolist()
     post_counts = np.bincount(batch.post, minlength=len(labels)).tolist()
-    analytic = expected_post_probabilities(scenario)
+    analytic = expected_post_probabilities(engine.scenario)
     return {
         "num_trials": num,
         "pre_outcome_frequencies": {k: v / num for k, v in zip(labels, pre_counts)},
         "post_outcome_frequencies": {k: v / num for k, v in zip(labels, post_counts)},
-        "analytic_post_probabilities": {
-            label: float(analytic[k]) for k, label in enumerate(labels)
-        },
+        "analytic_post_probabilities": dict(zip(labels, analytic.tolist())),
         "erased_fraction": int(np.count_nonzero(batch.erased)) / num,
         "memory_consistent_fraction": int(np.count_nonzero(batch.consistent)) / num,
         # Means of n equal floats, summed as per-trial means were, keep the bytes.
@@ -320,19 +319,14 @@ _PER_TRIAL_MARKER = "\0per_trial\0"
 
 
 def _per_trial_bytes(batch: TrialBatch) -> bytes:
-    """``batch.rows()`` of a non-empty batch as ``canonical_payload_bytes``
-    writes that list at ``document["payload"]["per_trial"]``, two levels
-    deep.  A trial's row follows from its (pre, post) pair, so each distinct
-    row is serialized once and the cached texts are joined in trial order."""
-    codes = batch.pre * len(batch.engine.labels) + batch.post
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    distinct = TrialBatch(batch.engine, batch.pre[first], batch.post[first],
-                          batch.erased[first], batch.consistent[first])
-    newline = "\n" + "  " * 3
-    texts = [json.dumps(row, sort_keys=True, indent=2).replace("\n", newline)
-             for row in distinct.rows()]
-    rows = ("," + newline).join([texts[i] for i in inverse.tolist()])
-    return f"[{newline}{rows}\n    ]".encode("ascii")
+    """``batch.rows()`` of a non-empty batch as ``canonical_payload_bytes`` writes
+    that list at ``document["payload"]["per_trial"]``, two levels deep: each of
+    ``batch.outcomes()`` is serialized once, and the texts joined in trial order."""
+    distinct, index = batch.outcomes()
+    newline = b"\n" + b"  " * 3
+    texts = [canonical_payload_bytes(vars(r)).replace(b"\n", newline) for r in distinct]
+    rows = (b"," + newline).join([texts[i] for i in index.tolist()])
+    return b"[" + newline + rows + b"\n    ]"
 
 
 def _write_document(payload: dict, path: str, per_trial: "TrialBatch | None" = None):
@@ -372,7 +366,7 @@ def cmd_run(config: RunConfig, out: "str | None" = None, threads: int = 1,
             trials: "int | None" = None, fmt: str = "json") -> int:
     num_trials = trials if trials is not None else config.num_trials
     batch = _run_trials(config.scenario, num_trials)
-    summary = _summarize(config.scenario, batch)
+    summary = _summarize(batch)
     payload = {
         "kind": "run",
         "config": {
@@ -440,7 +434,7 @@ def _sweep_rows(config: SweepConfig, trials_per_point: int) -> list:
     for value in config.values:
         scenario = sweep_point(config.base, config.axis, value)
         batch = _run_trials(scenario, trials_per_point)
-        summary = _summarize(scenario, batch)
+        summary = _summarize(batch)
         row = {
             config.axis: value,
             "num_trials": trials_per_point,
@@ -450,7 +444,7 @@ def _sweep_rows(config: SweepConfig, trials_per_point: int) -> list:
         if config.axis == "env_qubits":
             purity = batch.engine.brain_purity
             row["brain_purity_after_erase"] = purity
-            row["erase_exact"] = bool(abs(purity - 1.0) <= 1e-12)
+            row["erase_exact"] = bool(abs(purity - 1.0) <= EXACT_TOL)
         rows.append(row)
     return rows
 

@@ -28,7 +28,7 @@ are mutually orthogonal.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -67,6 +67,7 @@ MAX_RECORD_QUBITS = 12  # the decoupling diagnostic's dense 2^n x 2^n Haar unita
 # branch-independent than branch-revealing; the midpoint criterion puts the
 # feasibility transition at the half-access point for Haar-scrambled records.
 DECOUPLING_FEASIBLE_THRESHOLD = 0.5
+RECORD_TOL = 1e-9  # the engine's record checks: brain mass off the records, pinned reads
 
 
 class RecordEncoding(Enum):
@@ -519,10 +520,8 @@ class TrialEngine:
         marginal (tuple)."""
         probs = born_probabilities(state, self.layout, "B")[records]
         residual = abs(float(probs.sum()) - 1.0)
-        if residual > 1e-9:
-            raise AssertionError(
-                f"brain register holds non-record content (residual {residual:.3e})"
-            )
+        if residual > RECORD_TOL:
+            raise AssertionError(f"brain register holds non-record content (residual {residual:.3e})")
         cat = born_probabilities(state, self.layout, "C")[: len(records)]
         return probs, tuple(float(p) for p in cat)
 
@@ -530,7 +529,7 @@ class TrialEngine:
         """Whether conditioning register ``given`` on ``value`` leaves
         register ``read`` holding ``expect``."""
         conditioned = project_onto(state, self.layout, given, value)
-        return bool(born_probabilities(conditioned, self.layout, read)[expect] >= 1.0 - 1e-9)
+        return bool(born_probabilities(conditioned, self.layout, read)[expect] >= 1.0 - RECORD_TOL)
 
     def run(self, seed: int) -> TrialReport:
         rng = as_generator(seed)
@@ -540,11 +539,11 @@ class TrialEngine:
         consistent = (self._ok_patient if erased else self._ok_stay)[post]
         if consistent < 0:
             raise KeyError(post)
-        return TrialReport(*self._report(pre, post, erased, bool(consistent)))
+        return self._report(pre, post, erased, bool(consistent))
 
-    def _report(self, pre: int, post: int, erased: bool, consistent: bool) -> tuple:
-        """``TrialReport``'s fields in order for one trial's draws."""
-        return (
+    def _report(self, pre: int, post: int, erased: bool, consistent: bool) -> TrialReport:
+        """The report of a trial with these draws."""
+        return TrialReport(
             self.labels[pre], self.labels[post], pre, post, erased,
             self.brain_purity, self.brain_entropy, self.cat_before,
             self.cat_after_patient if erased else self.cat_after_stay[pre],
@@ -602,19 +601,23 @@ class TrialBatch:
             and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
         )
 
-    def _fields(self):
-        """Per trial, ``TrialReport``'s fields in order as native Python values."""
-        columns = (self.pre.tolist(), self.post.tolist(), self.erased.tolist(),
-                   self.consistent.tolist())
-        return map(self.engine._report, *columns)
+    def outcomes(self) -> tuple:
+        """The distinct reports, in (pre, post) order, and each trial's index into
+        them: a trial's report follows from its (pre, post) pair, so B^2 at most."""
+        codes = self.pre * len(self.engine.labels) + self.post
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        columns = (self.pre, self.post, self.erased, self.consistent)
+        return list(map(self.engine._report, *(c[first].tolist() for c in columns))), inverse
 
     def reports(self) -> list:
-        return [TrialReport(*values) for values in self._fields()]
+        """Each trial's report; trials with one (pre, post) pair share it."""
+        distinct, index = self.outcomes()
+        return [distinct[i] for i in index.tolist()]
 
     def rows(self) -> list:
-        """``asdict(report)`` of each trial's report, without the reports."""
-        names = [field.name for field in fields(TrialReport)]
-        return [dict(zip(names, values)) for values in self._fields()]
+        """``asdict(report)`` of each trial's report, a fresh dict per trial."""
+        distinct, index = self.outcomes()
+        return [dict(vars(distinct[i])) for i in index.tolist()]
 
 
 def run_trial(scenario: Scenario) -> TrialReport:
@@ -701,7 +704,7 @@ def decoupling_diagnostic(num_record_qubits: int, accessible: int, rng) -> Decou
     """
     _check_record_split(num_record_qubits, [accessible])
     encoded = _haar_encodings(num_record_qubits, rng)
-    return _decoupling_metrics(*encoded, num_record_qubits, accessible)
+    return _decoupling_metrics(*encoded, num_record_qubits, int(accessible))
 
 
 def decoupling_sweep(num_record_qubits: int, accessible_values, num_encodings: int,

@@ -92,6 +92,8 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     Covers the canonical symmetric cat, a deterministic cat, and seeded
     random cat weights.
     """
+    if num_random_cats < 0:
+        raise ValueError("num_random_cats must be >= 0")
     structures = [
         BranchStructure.equal(1, 1),
         BranchStructure.two_branch(1.0, 0.0),

@@ -543,6 +543,10 @@ class TestDecoupling:
                 direct = decoupling_diagnostic(6, k, derive_seed(99, encoding_index))
                 assert table[k][encoding_index] == direct
 
+    def test_integral_float_split_runs_as_the_sweep_does(self):
+        direct = decoupling_diagnostic(4, 2.0, derive_seed(0, 0))
+        assert direct == decoupling_sweep(4, [2.0], 1, 0)[2][0]
+
     def test_transition_direction(self):
         table = decoupling_sweep(8, [1, 7], num_encodings=5, rng_seed=3)
         low_access = np.mean([r.conditional_trace_distance for r in table[1]])

@@ -141,6 +141,28 @@ def test_ensemble_matches_per_trial_runs(scenario):
     assert batch.rows() == [asdict(report) for report in singles]
 
 
+@pytest.mark.parametrize("scenario", ACCEPTED, ids=_scenario_id)
+def test_outcomes_hold_one_report_per_distinct_pair(scenario):
+    num_branches = scenario.branch_structure.num_branches
+    batch = TrialEngine(scenario).run_batch(scenario.rng_seed, 0, 2_000)
+    distinct, index = batch.outcomes()
+    pairs = sorted(set(zip(batch.pre.tolist(), batch.post.tolist())))
+    assert [(r.pre_branch, r.post_branch) for r in distinct] == pairs
+    assert len(distinct) <= num_branches**2
+    assert [distinct[i] for i in index.tolist()] == batch.reports()
+    assert len({id(r) for r in run_ensemble(scenario, 10_000)}) <= num_branches**2
+
+
+@pytest.mark.parametrize("scenario", ACCEPTED, ids=_scenario_id)
+def test_rows_are_fresh_dicts(scenario):
+    rows = TrialEngine(scenario).run_batch(scenario.rng_seed, 0, 500).rows()
+    before = [dict(row) for row in rows]
+    # Trial 0's outcome recurs, so a shared dict would show below.
+    assert before[0] in before[1:]
+    rows[0].clear()
+    assert rows[1:] == before[1:]
+
+
 def test_batches_compare_as_plain_bools():
     scenario = canonical_scenario(rng_seed=3)
     one = TrialEngine(scenario).run_batch(3, 0, 500)

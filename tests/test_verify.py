@@ -31,6 +31,10 @@ class TestCircuitEquivalence:
         verdict = check_circuit_equivalence(num_random_cats=0)
         assert verdict.passed
 
+    def test_refuses_a_negative_count(self):
+        with pytest.raises(ValueError, match="num_random_cats must be >= 0"):
+            check_circuit_equivalence(num_random_cats=-3)
+
     def test_metric_reproducible(self):
         first = check_circuit_equivalence(num_random_cats=25, rng_seed=3)
         second = check_circuit_equivalence(num_random_cats=25, rng_seed=3)
