@@ -22,6 +22,7 @@ from .statevec import (
     RegisterLayout,
     StateVector,
     _apply_matrix,
+    _filter_norm,
     _frozen_array,
     _subsystem_qubits,
     apply_gate,
@@ -154,12 +155,7 @@ def apply_nonlinear_filter(state: StateVector, layout: RegisterLayout, filt: Non
         return state
     weights = np.array([[1.0, 0.0], [0.0, filt.lambda_]], dtype=np.complex128)
     filtered = _apply_matrix(state.amplitudes, state.num_qubits, targets, weights)
-    norm = float(np.linalg.norm(filtered))
-    if norm <= NORM_TOL:
-        raise ValueError(
-            "degenerate filter: weight 0 with no support on the target's 0 branch"
-        )
-    return StateVector(filtered / norm, state.num_qubits)
+    return StateVector(filtered / _filter_norm(filtered), state.num_qubits)
 
 
 def nonlinear_probabilities(c0: complex, c1: complex, lambda_: float):

@@ -25,15 +25,23 @@ Record encodings: ``PLAIN`` writes the branch index itself into B (blank
 and the first record coincide, a documented degeneracy); ``TAGGED``
 prefixes a written-flag qubit so blank, alive records, and dead records
 are mutually orthogonal.
+
+Every unitary step (observe, spread, erase, conditional erase, record
+rewrite) is one gate list of X, CNOT and multi-controlled X, built once by
+its ``_*_stage`` function.  These gates only relabel basis states, so the
+register holds one amplitude per branch however many qubits it has.  The
+public stage functions apply the lists to a dense ``StateVector``;
+``TrialEngine`` applies the same lists to a ``BasisState`` and gives the
+same bits.
 """
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import NonlinearFilter, apply_nonlinear_filter
 from .seeding import (
     as_generator,
     clamped_cdf,
@@ -45,15 +53,21 @@ from .seeding import (
 from .statevec import (
     _FIXED_GATES,
     NORM_TOL,
+    BasisState,
     DensityMatrix,
     GateSpec,
     RegisterLayout,
     StateVector,
     _frozen_array,
     apply_gate,
+    basis_born_probabilities,
+    basis_filter,
     basis_index,
+    basis_partial_trace,
+    basis_project_onto,
     born_probabilities,
     partial_trace,
+    permute,
     project_onto,
     purity,
     sample_outcome,
@@ -251,11 +265,30 @@ def _ancilla_record_qubits(layout: RegisterLayout, encoding: RecordEncoding):
     return tuple(q for name in _ancilla_names(encoding) for q in layout.qubits(name))
 
 
-def _assert_blank(state: StateVector, layout: RegisterLayout, names, context: str):
-    for name in names:
-        blank_mass = float(born_probabilities(state, layout, name)[0])
+class _Stage(NamedTuple):
+    """One unitary step of the protocol: its name in errors, the registers
+    that must be blank before it, and its gates.  The dense stage functions
+    and ``TrialEngine`` apply the same stages."""
+
+    name: str
+    blank: tuple
+    gates: list
+
+
+def _apply_stage(state, layout: RegisterLayout, stage: _Stage):
+    """Check the stage's blank registers, then apply its gates: gate by gate
+    to a ``StateVector``, as one relabelling to a ``BasisState``."""
+    dense = isinstance(state, StateVector)
+    born = born_probabilities if dense else basis_born_probabilities
+    for name in stage.blank:
+        blank_mass = float(born(state, layout, name)[0])
         if abs(blank_mass - 1.0) > NORM_TOL:
-            raise ValueError(f"{context}: register {name!r} is not blank")
+            raise ValueError(f"{stage.name}: register {name!r} is not blank")
+    if not dense:
+        return permute(state, stage.gates)
+    for gate in stage.gates:
+        state = apply_gate(state, gate)
+    return state
 
 
 def _pairwise_cnots(source_qubits, target_qubits):
@@ -273,10 +306,11 @@ def _record_write_gates(layout: RegisterLayout, encoding: RecordEncoding, source
     return gates
 
 
-def _apply_all(state: StateVector, gates) -> StateVector:
-    for gate in gates:
-        state = apply_gate(state, gate)
-    return state
+def _cat_indices(branch_structure: BranchStructure, layout: RegisterLayout) -> list:
+    """Basis index of each branch's cat value, everything else blank."""
+    if layout.size("C") != branch_structure.cat_width:
+        raise ValueError("layout cat register does not match the branch structure")
+    return [basis_index(layout, {"C": b}) for b in range(branch_structure.num_branches)]
 
 
 def prepare_cat(branch_structure: BranchStructure, layout: "RegisterLayout | None" = None) -> StateVector:
@@ -285,26 +319,14 @@ def prepare_cat(branch_structure: BranchStructure, layout: "RegisterLayout | Non
     Without a layout, returns the bare cat register; with one, returns the
     full register with everything else blank.
     """
-    width = branch_structure.cat_width
     if layout is None:
-        layout = RegisterLayout.from_sizes([("C", width)])
-    if layout.size("C") != width:
-        raise ValueError("layout cat register does not match the branch structure")
+        layout = RegisterLayout.from_sizes([("C", branch_structure.cat_width)])
     amps = np.zeros(2**layout.total_qubits, dtype=np.complex128)
-    for branch, weight in enumerate(branch_structure.weights):
-        amps[basis_index(layout, {"C": branch})] = weight
+    amps[_cat_indices(branch_structure, layout)] = branch_structure.weights
     return StateVector(amps, layout.total_qubits)
 
 
-def observe(state: StateVector, layout: RegisterLayout, variant: str, encoding: RecordEncoding) -> StateVector:
-    """Measurement as record distribution: write the branch into B and E1.
-
-    The three variants couple the registers in different orders — (a) the
-    cat writes both records, (b) the brain informs the environment, (c) the
-    environment informs the brain — and produce identical states on blank
-    registers.
-    """
-    _assert_blank(state, layout, ["B", "E1"], "observe")
+def _observe_stage(layout: RegisterLayout, variant: str, encoding: RecordEncoding) -> _Stage:
     cat = layout.qubits("C")
     env = layout.qubits("E1")
     if variant == "a":
@@ -317,11 +339,21 @@ def observe(state: StateVector, layout: RegisterLayout, variant: str, encoding: 
         gates = _pairwise_cnots(cat, env) + _record_write_gates(layout, encoding, "E1")
     else:
         raise ValueError("variant must be one of a, b, c")
-    return _apply_all(state, gates)
+    return _Stage("observe", ("B", "E1"), gates)
 
 
-def spread_to_environment(state: StateVector, layout: RegisterLayout, copies: int) -> StateVector:
-    """Fan the branch record out into additional environment slots E2, E3, ..."""
+def observe(state: StateVector, layout: RegisterLayout, variant: str, encoding: RecordEncoding) -> StateVector:
+    """Measurement as record distribution: write the branch into B and E1.
+
+    The three variants couple the registers in different orders — (a) the
+    cat writes both records, (b) the brain informs the environment, (c) the
+    environment informs the brain — and produce identical states on blank
+    registers.
+    """
+    return _apply_stage(state, layout, _observe_stage(layout, variant, encoding))
+
+
+def _spread_stage(layout: RegisterLayout, copies: int) -> _Stage:
     if copies < 0:
         raise ValueError("copies must be >= 0")
     available = sum(1 for name in layout.names if name.startswith("E")) - 1
@@ -333,7 +365,19 @@ def spread_to_environment(state: StateVector, layout: RegisterLayout, copies: in
     gates = []
     for copy_index in range(2, copies + 2):
         gates.extend(_pairwise_cnots(layout.qubits("C"), layout.qubits(f"E{copy_index}")))
-    return _apply_all(state, gates)
+    return _Stage("spread_to_environment", (), gates)
+
+
+def spread_to_environment(state: StateVector, layout: RegisterLayout, copies: int) -> StateVector:
+    """Fan the branch record out into additional environment slots E2, E3, ..."""
+    return _apply_stage(state, layout, _spread_stage(layout, copies))
+
+
+def _clinic_stage(layout: RegisterLayout, encoding: RecordEncoding) -> _Stage:
+    brain = layout.qubits("B")
+    ancilla = _ancilla_record_qubits(layout, encoding)
+    gates = _pairwise_cnots(brain, ancilla) + _pairwise_cnots(ancilla, brain)
+    return _Stage("clinic_erase", tuple(_ancilla_names(encoding)), gates)
 
 
 def clinic_erase(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding) -> StateVector:
@@ -343,11 +387,7 @@ def clinic_erase(state: StateVector, layout: RegisterLayout, encoding: RecordEnc
     Afterwards B is exactly blank and disentangled; the ancilla carries the
     record, still correlated with cat and environment.
     """
-    _assert_blank(state, layout, _ancilla_names(encoding), "clinic_erase")
-    brain = layout.qubits("B")
-    ancilla = _ancilla_record_qubits(layout, encoding)
-    gates = _pairwise_cnots(brain, ancilla) + _pairwise_cnots(ancilla, brain)
-    return _apply_all(state, gates)
+    return _apply_stage(state, layout, _clinic_stage(layout, encoding))
 
 
 def _participation_flag_gates(layout: RegisterLayout, encoding: RecordEncoding,
@@ -367,6 +407,18 @@ def _participation_flag_gates(layout: RegisterLayout, encoding: RecordEncoding,
     return gates
 
 
+def _conditional_clinic_stage(layout: RegisterLayout, branch_structure: BranchStructure,
+                              participation: Participation, encoding: RecordEncoding) -> _Stage:
+    gates = _participation_flag_gates(layout, encoding, branch_structure, participation)
+    flag = layout.qubits("F")[0]
+    brain = layout.qubits("B")
+    ancilla = _ancilla_record_qubits(layout, encoding)
+    x = _FIXED_GATES["x"]
+    gates += [GateSpec.controlled(x, (flag, b), (a,)) for b, a in zip(brain, ancilla)]
+    gates += [GateSpec.controlled(x, (flag, a), (b,)) for b, a in zip(brain, ancilla)]
+    return _Stage("conditional_clinic", (*_ancilla_names(encoding), "F"), gates)
+
+
 def conditional_clinic(state: StateVector, layout: RegisterLayout,
                        branch_structure: BranchStructure, participation: Participation,
                        encoding: RecordEncoding) -> StateVector:
@@ -377,37 +429,33 @@ def conditional_clinic(state: StateVector, layout: RegisterLayout,
     correlates with the branch family and the brain stays entangled with cat
     and environment in the skipped branches.
     """
-    _assert_blank(state, layout, _ancilla_names(encoding) + ["F"], "conditional_clinic")
-    state = _apply_all(
-        state, _participation_flag_gates(layout, encoding, branch_structure, participation)
-    )
-    flag = layout.qubits("F")[0]
-    brain = layout.qubits("B")
-    ancilla = _ancilla_record_qubits(layout, encoding)
-    x = _FIXED_GATES["x"]
-    gates = [GateSpec.controlled(x, (flag, b), (a,)) for b, a in zip(brain, ancilla)]
-    gates += [GateSpec.controlled(x, (flag, a), (b,)) for b, a in zip(brain, ancilla)]
-    return _apply_all(state, gates)
+    stage = _conditional_clinic_stage(layout, branch_structure, participation, encoding)
+    return _apply_stage(state, layout, stage)
 
 
-def _recorded_state(scenario: Scenario, layout: RegisterLayout) -> StateVector:
-    """The scenario's cat observed into B and E1, then spread into every
-    further environment copy: the state every erase starts from."""
-    state = prepare_cat(scenario.branch_structure, layout)
-    state = observe(state, layout, scenario.observe_variant, scenario.encoding)
-    return spread_to_environment(state, layout, scenario.env_qubits - 1)
+def _recorded_state(scenario: Scenario, layout: RegisterLayout, cat):
+    """The prepared ``cat`` (a ``StateVector`` or ``BasisState``) observed
+    into B and E1, then spread into every further environment copy: the
+    state every erase starts from."""
+    state = _apply_stage(cat, layout, _observe_stage(layout, scenario.observe_variant, scenario.encoding))
+    return _apply_stage(state, layout, _spread_stage(layout, scenario.env_qubits - 1))
+
+
+def _rewrite_stage(layout: RegisterLayout, encoding: RecordEncoding) -> _Stage:
+    return _Stage("rewrite_record", (), _record_write_gates(layout, encoding, "C"))
 
 
 def rewrite_record(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding) -> StateVector:
     """The re-coupling step of reobservation alone: a fresh record write from
     the cat into the brain, with no sampling."""
-    return _apply_all(state, _record_write_gates(layout, encoding, "C"))
+    return _apply_stage(state, layout, _rewrite_stage(layout, encoding))
 
 
-def _recouple_patient(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding) -> StateVector:
+def _recouple_patient(state, layout: RegisterLayout, encoding: RecordEncoding):
     """The patient path: condition on the blank-memory observer, then write
     a fresh record of the cat."""
-    return rewrite_record(project_onto(state, layout, "B", 0), layout, encoding)
+    project = project_onto if isinstance(state, StateVector) else basis_project_onto
+    return _apply_stage(project(state, layout, "B", 0), layout, _rewrite_stage(layout, encoding))
 
 
 def reobserve(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding, rng):
@@ -456,7 +504,10 @@ class TrialEngine:
 
     The unitary stages and all state-level diagnostics are seed-independent,
     so they are evaluated once, and the engine keeps only their per-branch
-    tables, never a state.  ``run(seed)`` draws the observer's pre- and
+    tables, never a state.  The pipeline runs on a ``BasisState``: one
+    amplitude per branch, gates applied by ``permute``.  Its tables, brain
+    purity and brain entropy equal, bit for bit, what the same pipeline
+    gives on a dense ``StateVector``.  ``run(seed)`` draws the observer's pre- and
     post-branch from those tables.  ``run_batch`` draws a range of an
     ensemble's trials as columns, each equal to what ``run`` gives for that
     trial's seed; ``run(seed)`` stays the scalar reference.
@@ -470,22 +521,23 @@ class TrialEngine:
         branches = range(structure.num_branches)
         records = [record_value(encoding, structure.cat_width, b) for b in branches]
 
-        state = _recorded_state(scenario, layout)
+        cat = BasisState(_cat_indices(structure, layout), structure.weights, layout.total_qubits)
+        state = _recorded_state(scenario, layout, cat)
         self.pre_probs, self.cat_before = self._marginals(state, records)
 
         participating = structure.branches_in(scenario.participation)
         if scenario.participation is Participation.ALL:
-            state = clinic_erase(state, layout, encoding)
+            erase = _clinic_stage(layout, encoding)
         else:
-            state = conditional_clinic(state, layout, structure, scenario.participation, encoding)
-        brain = partial_trace(state, layout, ["B"])
+            erase = _conditional_clinic_stage(layout, structure, scenario.participation, encoding)
+        state = _apply_stage(state, layout, erase)
+        brain = basis_partial_trace(state, layout, ["B"])
         self.brain_purity = purity(brain)
         self.brain_entropy = von_neumann_entropy(brain)
 
         if scenario.nonlinear_lambda is not None:
-            state = apply_nonlinear_filter(
-                state, layout, NonlinearFilter(scenario.nonlinear_lambda, "A")
-            )
+            (target,) = layout.qubits("A")  # two branches: a one-qubit ancilla
+            state = basis_filter(state, target, scenario.nonlinear_lambda)
 
         # Memory checks per branch; -1 marks a check never evaluated, where
         # run() raises a KeyError and run_batch a RuntimeError.
@@ -515,21 +567,21 @@ class TrialEngine:
         self._pre_cdf = clamped_cdf(self.pre_probs)
         self._post_cdf = None if self.post_probs is None else clamped_cdf(self.post_probs)
 
-    def _marginals(self, state: StateVector, records) -> tuple:
+    def _marginals(self, state: BasisState, records) -> tuple:
         """Per branch, the brain's record probability (array) and the cat's
         marginal (tuple)."""
-        probs = born_probabilities(state, self.layout, "B")[records]
+        probs = basis_born_probabilities(state, self.layout, "B")[records]
         residual = abs(float(probs.sum()) - 1.0)
         if residual > RECORD_TOL:
             raise AssertionError(f"brain register holds non-record content (residual {residual:.3e})")
-        cat = born_probabilities(state, self.layout, "C")[: len(records)]
+        cat = basis_born_probabilities(state, self.layout, "C")[: len(records)]
         return probs, tuple(float(p) for p in cat)
 
-    def _pinned(self, state: StateVector, given: str, value: int, read: str, expect: int) -> bool:
+    def _pinned(self, state: BasisState, given: str, value: int, read: str, expect: int) -> bool:
         """Whether conditioning register ``given`` on ``value`` leaves
         register ``read`` holding ``expect``."""
-        conditioned = project_onto(state, self.layout, given, value)
-        return bool(born_probabilities(conditioned, self.layout, read)[expect] >= 1.0 - RECORD_TOL)
+        conditioned = basis_project_onto(state, self.layout, given, value)
+        return bool(basis_born_probabilities(conditioned, self.layout, read)[expect] >= 1.0 - RECORD_TOL)
 
     def run(self, seed: int) -> TrialReport:
         rng = as_generator(seed)

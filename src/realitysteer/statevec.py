@@ -1,4 +1,4 @@
-"""Dense pure-state and density-matrix core for small composite qubit registers.
+"""Pure-state and density-matrix core for small composite qubit registers.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -15,6 +15,12 @@ Conventions fixed here and relied on everywhere else:
   compared at ``EXACT_TOL``.
 - Values are immutable after construction; operations return new values and
   are safe to share between threads.
+
+A state is held one of two ways.  ``StateVector`` holds all 2^n amplitudes
+and takes any gate.  ``BasisState`` holds only the basis indices a state
+occupies and their amplitudes; its kernels (``permute``, ``basis_*``) apply
+the basis permutations the protocol is made of, and reduce with the same
+floating-point order as the dense kernels, so both give the same bits.
 """
 
 from dataclasses import dataclass
@@ -41,6 +47,12 @@ _FIXED_GATES = {
     "cnot": _frozen_array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
     "swap": _frozen_array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
 }
+
+
+def _check_norm(amps: np.ndarray) -> None:
+    deviation = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
+    if not deviation <= NORM_TOL:
+        raise ValueError(f"squared norm deviates from 1 by {deviation:.3e}")
 
 
 def _is_unitary(matrix: np.ndarray) -> bool:
@@ -116,13 +128,44 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector has length {amps.shape}, expected 2**{self.num_qubits}"
             )
-        deviation = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-        if not deviation <= NORM_TOL:
-            raise ValueError(f"squared norm deviates from 1 by {deviation:.3e}")
+        _check_norm(amps)
 
     @property
     def dim(self) -> int:
         return 2**self.num_qubits
+
+
+@dataclass(frozen=True, eq=False)
+class BasisState:
+    """Normalized pure state held as the basis indices it occupies and their
+    amplitudes: the vector with ``amplitudes[i]`` at ``indices[i]`` and zeros
+    elsewhere.  Indices are distinct int64 values in ``0..2^n-1``, ordered
+    as in ``StateVector``; an index may carry a zero amplitude."""
+
+    indices: np.ndarray
+    amplitudes: np.ndarray
+    num_qubits: int
+
+    def __post_init__(self):
+        raw = np.asarray(self.indices)
+        if raw.size and raw.dtype.kind not in "iu":
+            raise ValueError("basis indices must be integers")
+        indices = raw.astype(np.int64)
+        indices.flags.writeable = False
+        amps = _frozen_array(self.amplitudes)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "amplitudes", amps)
+        if self.num_qubits < 1:
+            raise ValueError("num_qubits must be >= 1")
+        if indices.ndim != 1 or amps.shape != indices.shape:
+            raise ValueError(
+                f"{indices.shape} basis indices do not match {amps.shape} amplitudes"
+            )
+        if indices.size and not (indices.min() >= 0 and indices.max() < 2**self.num_qubits):
+            raise ValueError(f"basis indices out of range for {self.num_qubits} qubits")
+        if np.unique(indices).size != indices.size:
+            raise ValueError("basis indices must be distinct")
+        _check_norm(amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,10 +277,15 @@ class GateSpec:
         return full
 
 
+def _other_qubits(num_qubits: int, qubits) -> list:
+    """The qubits not listed, in register order."""
+    return [q for q in range(num_qubits) if q not in qubits]
+
+
 def _qubit_axes(num_qubits: int, qubits, trailing: int) -> list:
     """Axis order of a (2,) * n tensor with ``trailing`` extra axes that puts
     the listed qubits first, in listed order; every other axis keeps its order."""
-    others = [q for q in range(num_qubits) if q not in qubits]
+    others = _other_qubits(num_qubits, qubits)
     return [*qubits, *others, *range(num_qubits, num_qubits + trailing)]
 
 
@@ -264,12 +312,14 @@ def _apply_matrix(array: np.ndarray, num_qubits: int, targets, matrix: np.ndarra
     return _qubits_back(block, num_qubits, targets, array.shape)
 
 
+def _check_targets(gate: GateSpec, num_qubits: int) -> None:
+    if any(t >= num_qubits for t in gate.targets):
+        raise ValueError(f"gate targets {gate.targets} out of range for {num_qubits} qubits")
+
+
 def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
     """Apply a unitary gate, identity on all qubits outside its targets."""
-    if any(t >= state.num_qubits for t in gate.targets):
-        raise ValueError(
-            f"gate targets {gate.targets} out of range for {state.num_qubits} qubits"
-        )
+    _check_targets(gate, state.num_qubits)
     new_amps = _apply_matrix(
         state.amplitudes, state.num_qubits, gate.targets, gate.resolved_matrix()
     )
@@ -338,6 +388,36 @@ def _subsystem_qubits(state, layout: RegisterLayout, keep) -> list:
     return qubits
 
 
+def _gram(block: np.ndarray) -> np.ndarray:
+    """``block @ block^dagger``: the reduced state of a (2^k, rest) block."""
+    return block @ block.conj().T
+
+
+def _checked_table(probs: np.ndarray) -> np.ndarray:
+    total_deviation = abs(float(probs.sum()) - 1.0)
+    if total_deviation > NORM_TOL:
+        raise AssertionError(f"probability table sums off unity by {total_deviation:.3e}")
+    return probs
+
+
+def _projected_qubits(state, layout: RegisterLayout, subsystem: str, value: int) -> list:
+    """The subsystem's qubits, once ``value`` is known to be one of its values."""
+    qubits = _subsystem_qubits(state, layout, subsystem)
+    if not 0 <= value < 2 ** len(qubits):
+        raise ValueError(f"value {value} out of range for subsystem {subsystem!r}")
+    return qubits
+
+
+def _projection_weight(row: np.ndarray, subsystem: str, value: int) -> float:
+    """The summed squared magnitudes of a projected row, refused when ~0."""
+    weight = float(np.sum(row))
+    if weight <= NORM_TOL:
+        raise ValueError(
+            f"projection of {subsystem!r} onto value {value} has probability ~0"
+        )
+    return weight
+
+
 def partial_trace(state, layout: RegisterLayout, keep) -> DensityMatrix:
     """Reduced density matrix over the kept subsystems, in keep-list order.
 
@@ -346,8 +426,7 @@ def partial_trace(state, layout: RegisterLayout, keep) -> DensityMatrix:
     keep_qubits = _subsystem_qubits(state, layout, keep)
     n = layout.total_qubits
     if isinstance(state, StateVector):
-        block = _qubits_first(state.amplitudes, n, keep_qubits)
-        reduced = block @ block.conj().T
+        reduced = _gram(_qubits_first(state.amplitudes, n, keep_qubits))
     else:
         # Kept qubits first on the rows, then on the columns: the entries
         # become [b, j, a, i] for rho[(a, i), (b, j)], summed over i == j.
@@ -362,26 +441,16 @@ def born_probabilities(state: StateVector, layout: RegisterLayout, subsystem: st
     """Measurement probability table over a subsystem's computational basis."""
     qubits = _subsystem_qubits(state, layout, subsystem)
     block = _qubits_first(state.amplitudes, state.num_qubits, qubits)
-    probs = np.sum(np.abs(block) ** 2, axis=1)
-    total_deviation = abs(float(probs.sum()) - 1.0)
-    if total_deviation > NORM_TOL:
-        raise AssertionError(f"probability table sums off unity by {total_deviation:.3e}")
-    return probs
+    return _checked_table(np.sum(np.abs(block) ** 2, axis=1))
 
 
 def project_onto(state: StateVector, layout: RegisterLayout, subsystem: str, value: int) -> StateVector:
     """Project onto ``subsystem == value`` and renormalize."""
-    qubits = _subsystem_qubits(state, layout, subsystem)
-    if not 0 <= value < 2 ** len(qubits):
-        raise ValueError(f"value {value} out of range for subsystem {subsystem!r}")
+    qubits = _projected_qubits(state, layout, subsystem, value)
     n = state.num_qubits
     # A view of the read-only amplitudes when the qubits already lead.
     block = _qubits_first(state.amplitudes, n, qubits)
-    weight = float(np.sum(np.abs(block[value]) ** 2))
-    if weight <= NORM_TOL:
-        raise ValueError(
-            f"projection of {subsystem!r} onto value {value} has probability ~0"
-        )
+    weight = _projection_weight(np.abs(block[value]) ** 2, subsystem, value)
     projected = np.zeros_like(block)
     projected[value] = block[value] / np.sqrt(weight)
     return StateVector(_qubits_back(projected, n, qubits, state.amplitudes.shape), n)
@@ -396,6 +465,107 @@ def sample_outcome(state: StateVector, layout: RegisterLayout, subsystem: str, r
     probs = born_probabilities(state, layout, subsystem)
     outcome = draw_index(as_generator(rng), probs)
     return outcome, project_onto(state, layout, subsystem, outcome)
+
+
+def _filter_norm(vector: np.ndarray) -> float:
+    """The norm that renormalizes a filtered state, refused when ~0."""
+    norm = float(np.linalg.norm(vector))
+    if norm <= NORM_TOL:
+        raise ValueError(
+            "degenerate filter: weight 0 with no support on the target's 0 branch"
+        )
+    return norm
+
+
+# Kernels on a BasisState.  Where a dense kernel's result depends on the order
+# in which it sums, the kernel scatters the few nonzero values into the zero
+# array the dense kernel would reduce, and reduces it the same way.  A Born
+# table needs no scatter: each bin of a table whose values reach a report
+# holds at most one nonzero term, and adding zeros is exact.  (The tables
+# read only against a tolerance, such as blank-register checks, may sum
+# several terms in another order.)
+
+
+def _bit_values(indices: np.ndarray, num_qubits: int, qubits) -> np.ndarray:
+    """Each index's value on the listed qubits, read in listed order, the
+    first listed qubit as the most significant bit."""
+    values = np.zeros_like(indices)
+    for qubit in qubits:
+        values = (values << 1) | ((indices >> (num_qubits - 1 - qubit)) & 1)
+    return values
+
+
+def permute(state: BasisState, gates) -> BasisState:
+    """Apply X, CNOT and multi-controlled-X gates as a relabelling of basis
+    indices: where every control bit is 1, the target bit flips.  The
+    amplitudes are untouched.  Any other gate raises ``ValueError``."""
+    n = state.num_qubits
+    indices = state.indices
+    for gate in gates:
+        is_x = gate.kind in ("x", "cnot") or (
+            gate.kind == "controlled-u" and np.array_equal(gate.matrix, _FIXED_GATES["x"])
+        )
+        if not is_x:
+            raise ValueError(
+                f"permute applies x, cnot and controlled-X gates only, not {gate.kind!r}"
+            )
+        _check_targets(gate, n)
+        *controls, target = gate.targets
+        flip = 1 << (n - 1 - target)
+        if controls:
+            mask = sum(1 << (n - 1 - q) for q in controls)
+            indices = np.where((indices & mask) == mask, indices ^ flip, indices)
+        else:
+            indices = indices ^ flip
+    return BasisState(indices, state.amplitudes, n)
+
+
+def basis_born_probabilities(state: BasisState, layout: RegisterLayout, subsystem: str) -> np.ndarray:
+    """:func:`born_probabilities` of a basis state, as a weighted ``bincount``."""
+    qubits = _subsystem_qubits(state, layout, subsystem)
+    values = _bit_values(state.indices, state.num_qubits, qubits)
+    weights = np.abs(state.amplitudes) ** 2
+    return _checked_table(np.bincount(values, weights=weights, minlength=2 ** len(qubits)))
+
+
+def basis_project_onto(state: BasisState, layout: RegisterLayout, subsystem: str, value: int) -> BasisState:
+    """:func:`project_onto` of a basis state.  The weight is summed over the
+    dense row of the other qubits, in :func:`_qubits_first`'s column order."""
+    qubits = _projected_qubits(state, layout, subsystem, value)
+    n = state.num_qubits
+    others = _other_qubits(n, qubits)
+    selected = _bit_values(state.indices, n, qubits) == value
+    indices, amps = state.indices[selected], state.amplitudes[selected]
+    row = np.zeros(2 ** len(others))
+    row[_bit_values(indices, n, others)] = np.abs(amps) ** 2
+    weight = _projection_weight(row, subsystem, value)
+    return BasisState(indices, amps / np.sqrt(weight), n)
+
+
+def basis_partial_trace(state: BasisState, layout: RegisterLayout, keep) -> DensityMatrix:
+    """:func:`partial_trace` of a basis state, over the same dense (2^k, rest)
+    block."""
+    keep_qubits = _subsystem_qubits(state, layout, keep)
+    n = state.num_qubits
+    others = _other_qubits(n, keep_qubits)
+    block = np.zeros((2 ** len(keep_qubits), 2 ** len(others)), dtype=np.complex128)
+    rows = _bit_values(state.indices, n, keep_qubits)
+    block[rows, _bit_values(state.indices, n, others)] = state.amplitudes
+    return DensityMatrix(_gram(block), len(keep_qubits))
+
+
+def basis_filter(state: BasisState, qubit: int, weight: float) -> BasisState:
+    """The nonlinear filter ``diag(1, weight)`` on one qubit of a basis state,
+    then global renormalization; weight 1 returns the state itself.  The norm
+    is taken over the dense vector, as ``apply_nonlinear_filter`` takes it."""
+    if weight == 1.0:
+        return state
+    n = state.num_qubits
+    set_bit = ((state.indices >> (n - 1 - qubit)) & 1) == 1
+    filtered = state.amplitudes * np.where(set_bit, weight, 1.0)
+    dense = np.zeros(2**n, dtype=np.complex128)
+    dense[state.indices] = filtered
+    return BasisState(state.indices, filtered / _filter_norm(dense), n)
 
 
 def purity(rho: DensityMatrix) -> float:

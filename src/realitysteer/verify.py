@@ -148,7 +148,7 @@ def check_no_signalling(num_random_channels: int = 100, rng_seed: int = DEFAULT_
         gen = as_generator(derive_seed(rng_seed, 10_000 + index))
         scenario = canonical_scenario(branch_structure=_random_two_branch(gen))
         layout = scenario_layout(scenario)
-        state = _recorded_state(scenario, layout)
+        state = _recorded_state(scenario, layout, prepare_cat(scenario.branch_structure, layout))
         before = partial_trace(state, layout, ["C"])
         erased = clinic_erase(state, layout, scenario.encoding)
         after = partial_trace(erased, layout, ["C"])
@@ -175,7 +175,7 @@ def check_indistinguishability(scenario: "Scenario | None" = None) -> Verdict:
     if scenario.participation is not Participation.ALL:
         raise ValueError("indistinguishability check needs full participation")
     layout = scenario_layout(scenario)
-    observed = _recorded_state(scenario, layout)
+    observed = _recorded_state(scenario, layout, prepare_cat(scenario.branch_structure, layout))
     untouched = partial_trace(observed, layout, ["B"])
     steered_state = rewrite_record(
         clinic_erase(observed, layout, scenario.encoding), layout, scenario.encoding

@@ -7,7 +7,28 @@ they share no code path with the production reshape/transpose kernels.
 import numpy as np
 import pytest
 
-from realitysteer import BranchStructure, canonical_scenario
+from realitysteer import (
+    BranchStructure,
+    NonlinearFilter,
+    Participation,
+    apply_nonlinear_filter,
+    born_probabilities,
+    canonical_scenario,
+    clinic_erase,
+    conditional_clinic,
+    observe,
+    partial_trace,
+    prepare_cat,
+    project_onto,
+    purity,
+    record_value,
+    rewrite_record,
+    scenario_layout,
+    spread_to_environment,
+    von_neumann_entropy,
+)
+from realitysteer.protocol import RECORD_TOL
+from realitysteer.statevec import NORM_TOL
 
 
 def assemble_index(num_qubits, groups):
@@ -91,6 +112,67 @@ def brute_kraus_on_last(amplitudes, dim_first, kraus_ops):
         branch = embedded @ np.asarray(amplitudes)
         rho += np.outer(branch, branch.conj())
     return rho
+
+
+def dense_engine_tables(scenario):
+    """Every table ``TrialEngine`` builds, by its pipeline run on a dense
+    ``StateVector`` through the public stage functions: the bit-for-bit
+    oracle of the engine.  Keys are the engine's attribute names; the
+    ``_ok_*`` columns are lists (1 pinned, 0 not, -1 never evaluated) and
+    the patient tables are None when no erased branch has weight."""
+    layout = scenario_layout(scenario)
+    structure = scenario.branch_structure
+    encoding = scenario.encoding
+    branches = range(structure.num_branches)
+    records = [record_value(encoding, structure.cat_width, b) for b in branches]
+
+    def marginals(state):
+        cat = born_probabilities(state, layout, "C")[: len(records)]
+        return born_probabilities(state, layout, "B")[records], tuple(float(p) for p in cat)
+
+    def pinned(state, given, value, read, expect):
+        conditioned = project_onto(state, layout, given, value)
+        return int(born_probabilities(conditioned, layout, read)[expect] >= 1.0 - RECORD_TOL)
+
+    state = prepare_cat(structure, layout)
+    state = observe(state, layout, scenario.observe_variant, encoding)
+    state = spread_to_environment(state, layout, scenario.env_qubits - 1)
+    pre_probs, cat_before = marginals(state)
+    if scenario.participation is Participation.ALL:
+        state = clinic_erase(state, layout, encoding)
+    else:
+        state = conditional_clinic(state, layout, structure, scenario.participation, encoding)
+    brain = partial_trace(state, layout, ["B"])
+    if scenario.nonlinear_lambda is not None:
+        state = apply_nonlinear_filter(
+            state, layout, NonlinearFilter(scenario.nonlinear_lambda, "A")
+        )
+    participates = np.array([b in structure.branches_in(scenario.participation) for b in branches])
+    ok_stay = [
+        pinned(state, "C", b, "B", records[b])
+        if not participates[b] and pre_probs[b] > NORM_TOL else -1
+        for b in branches
+    ]
+    post_probs = cat_after_patient = None
+    ok_patient = [-1] * len(records)
+    if pre_probs[participates].sum() > NORM_TOL:
+        state = rewrite_record(project_onto(state, layout, "B", 0), layout, encoding)
+        post_probs, cat_after_patient = marginals(state)
+        ok_patient = [
+            pinned(state, "B", records[b], "C", b) if post_probs[b] > NORM_TOL else -1
+            for b in branches
+        ]
+        post_probs = post_probs.tolist()
+    return {
+        "pre_probs": pre_probs.tolist(),
+        "cat_before": cat_before,
+        "brain_purity": purity(brain),
+        "brain_entropy": von_neumann_entropy(brain),
+        "_ok_stay": ok_stay,
+        "post_probs": post_probs,
+        "cat_after_patient": cat_after_patient,
+        "_ok_patient": ok_patient,
+    }
 
 
 @pytest.fixture

@@ -151,6 +151,19 @@ def test_coordination_constraint_blocks_partial_participation():
     )
 
 
+def test_wide_register_engine_builds_fast():
+    scenario = canonical_scenario(env_qubits=18)
+    started = time.perf_counter()
+    engine = TrialEngine(scenario)
+    elapsed = time.perf_counter() - started
+    qubits = engine.layout.total_qubits
+    report(
+        "wide register",
+        qubits == 22 and elapsed < 0.5,
+        f"plain {qubits}-qubit TrialEngine built in {elapsed:.3f}s (< 0.5s)",
+    )
+
+
 def test_born_statistics_at_scale():
     started = time.perf_counter()
     scenario = canonical_scenario(rng_seed=20260810)

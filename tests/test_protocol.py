@@ -32,6 +32,7 @@ from realitysteer import (
     spread_to_environment,
     von_neumann_entropy,
 )
+from realitysteer.protocol import _haar_encodings
 from conftest import brute_partial_trace
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -562,3 +563,44 @@ class TestDecoupling:
     def test_sweep_refuses_bad_split(self, num_record_qubits, accessible, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
             decoupling_sweep(num_record_qubits, [accessible], 1, 0)
+
+
+HAAR_QUBITS = 6
+HAAR_ENCODINGS = 1000
+HAAR_SEED = 20261019
+
+
+def test_haar_encodings_meet_their_second_moments():
+    """Sample means over Haar encodings against the exact degree-2 Weingarten
+    moments of the hidden reduced states rho0, rho1 (d = d_a * d_h, d_a = 2^k
+    accessible): E Tr rho0^2 = (d_a + d_h)/(d + 1), E Tr rho0 rho1 =
+    d_h (d_a^2 - 1)/(d^2 - 1), E ||rho0 - rho1||_2^2 = 2 d_a (d_h^2 - 1)/(d^2 - 1)."""
+    n, d = HAAR_QUBITS, 2**HAAR_QUBITS
+    pairs = [_haar_encodings(n, derive_seed(HAAR_SEED, j)) for j in range(HAAR_ENCODINGS)]
+    zero, one = (np.array(column) for column in zip(*pairs))
+    for k in range(n + 1):
+        d_a, d_h = 2**k, 2 ** (n - k)
+        # rho[h, g] = sum_a u[a, h] conj(u[a, g]) over the accessible index a.
+        rho0, rho1 = (
+            np.einsum("nah,nag->nhg", u.reshape(-1, d_a, d_h), u.reshape(-1, d_a, d_h).conj())
+            for u in (zero, one)
+        )
+        samples = {
+            "purity": np.sum(np.abs(rho0) ** 2, axis=(1, 2)),
+            "overlap": np.real(np.sum(rho0 * rho1.conj(), axis=(1, 2))),
+            "hs_sq": np.sum(np.abs(rho0 - rho1) ** 2, axis=(1, 2)),
+        }
+        if k == 0:
+            assert np.max(np.abs(samples["hs_sq"] - 2.0)) < 1e-12
+            assert np.max(np.abs(samples["purity"] - 1.0)) < 1e-12
+        elif k == n:
+            assert np.max(samples["hs_sq"]) < 1e-12
+        else:
+            expected = {
+                "purity": (d_a + d_h) / (d + 1),
+                "overlap": d_h * (d_a**2 - 1) / (d**2 - 1),
+                "hs_sq": 2 * d_a * (d_h**2 - 1) / (d**2 - 1),
+            }
+            for name, values in samples.items():
+                sigma = values.std(ddof=1) / np.sqrt(len(values))
+                assert abs(values.mean() - expected[name]) < 4 * sigma, (k, name)

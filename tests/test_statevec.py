@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realitysteer import (
+    BasisState,
     DensityMatrix,
     GateSpec,
     KrausChannel,
@@ -17,6 +18,7 @@ from realitysteer import (
     born_probabilities,
     init_register,
     partial_trace,
+    permute,
     project_onto,
     purity,
     sample_outcome,
@@ -194,10 +196,56 @@ def permutation_circuits(draw):
 @given(circuit=permutation_circuits())
 def test_permutation_gates_match_bit_oracle(circuit):
     state, gates = circuit
-    expected = brute_permutation(state.amplitudes, state.num_qubits, gates)
+    n = state.num_qubits
+    expected = brute_permutation(state.amplitudes, n, gates)
+    relabelled = permute(BasisState(np.arange(2**n), state.amplitudes, n), gates)
+    scattered = np.zeros(2**n, dtype=complex)
+    scattered[relabelled.indices] = relabelled.amplitudes
+    assert np.array_equal(scattered, expected)
     for gate in gates:
         state = apply_gate(state, gate)
     assert np.array_equal(state.amplitudes, expected)
+
+
+@pytest.mark.parametrize("gate", [
+    GateSpec.h(0),
+    GateSpec.unitary(X_MATRIX, (1,)),
+    GateSpec.controlled(np.diag([1, -1]), (0,), (1,)),
+    GateSpec.controlled(np.kron(X_MATRIX, X_MATRIX), (0,), (1, 2)),
+], ids=["h", "u", "controlled-z", "controlled-xx"])
+def test_permute_refuses_gates_that_are_not_x(gate):
+    state = BasisState([0], [1.0], 3)
+    with pytest.raises(ValueError, match=repr(gate.kind)):
+        permute(state, [GateSpec.x(2), gate])
+
+
+class TestBasisState:
+    def test_refuses_repeated_and_out_of_range_indices(self):
+        with pytest.raises(ValueError, match="distinct"):
+            BasisState([1, 1], [SQRT_HALF, SQRT_HALF], 2)
+        with pytest.raises(ValueError, match="out of range"):
+            BasisState([0, 4], [SQRT_HALF, SQRT_HALF], 2)
+        with pytest.raises(ValueError, match="out of range"):
+            BasisState([-1], [1.0], 2)
+        with pytest.raises(ValueError, match="integers"):
+            BasisState([0.5], [1.0], 2)
+
+    def test_norm_checked_like_state_vector(self):
+        with pytest.raises(ValueError, match="squared norm"):
+            BasisState([0, 3], [1.0, 1.0], 2)
+        with pytest.raises(ValueError, match="match"):
+            BasisState([0, 3], [1.0], 2)
+
+    def test_values_are_read_only(self):
+        state = BasisState([0, 3], [SQRT_HALF, SQRT_HALF], 2)
+        with pytest.raises(ValueError):
+            state.indices[0] = 1
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
+
+    def test_permute_checks_targets(self):
+        with pytest.raises(ValueError, match="out of range"):
+            permute(BasisState([0], [1.0], 2), [GateSpec.x(2)])
 
 
 class TestPartialTrace:
