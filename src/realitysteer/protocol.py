@@ -275,15 +275,21 @@ class _Stage(NamedTuple):
     gates: list
 
 
+def _check_blank(stage: _Stage, born) -> None:
+    """Refuse the stage unless each register it needs blank reads 0 with
+    probability 1, within ``NORM_TOL``.  ``born(name)`` is that register's
+    Born table: one state's, or a ``(2^k, d)`` table of d states at once."""
+    for name in stage.blank:
+        if np.any(np.abs(born(name)[0] - 1.0) > NORM_TOL):
+            raise ValueError(f"{stage.name}: register {name!r} is not blank")
+
+
 def _apply_stage(state, layout: RegisterLayout, stage: _Stage):
     """Check the stage's blank registers, then apply its gates: gate by gate
     to a ``StateVector``, as one relabelling to a ``BasisState``."""
     dense = isinstance(state, StateVector)
     born = born_probabilities if dense else basis_born_probabilities
-    for name in stage.blank:
-        blank_mass = float(born(state, layout, name)[0])
-        if abs(blank_mass - 1.0) > NORM_TOL:
-            raise ValueError(f"{stage.name}: register {name!r} is not blank")
+    _check_blank(stage, lambda name: born(state, layout, name))
     if not dense:
         return permute(state, stage.gates)
     for gate in stage.gates:

@@ -23,7 +23,7 @@ the basis permutations the protocol is made of, and reduce with the same
 floating-point order as the dense kernels, so both give the same bits.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,10 +170,16 @@ class BasisState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on k qubits."""
+    """Hermitian, unit-trace, positive-semidefinite operator on k qubits.
+
+    ``spectrum`` holds the ascending eigenvalues that the positivity check
+    computed, read-only; it is not a constructor argument.  Each check is
+    written so that a NaN fails it.
+    """
 
     entries: np.ndarray
     num_qubits: int
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _frozen_array(self.entries)
@@ -183,13 +189,16 @@ class DensityMatrix:
             raise ValueError("num_qubits must be >= 1")
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape}, expected ({dim}, {dim})")
-        if float(np.max(np.abs(mat - mat.conj().T))) > NORM_TOL:
+        if not float(np.max(np.abs(mat - mat.conj().T))) <= NORM_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         trace_deviation = abs(complex(np.trace(mat)) - 1.0)
-        if trace_deviation > NORM_TOL:
+        if not trace_deviation <= NORM_TOL:
             raise ValueError(f"trace deviates from 1 by {trace_deviation:.3e}")
-        if float(np.linalg.eigvalsh(mat)[0]) < -NORM_TOL:
+        spectrum = np.linalg.eigvalsh(mat)
+        if not float(spectrum[0]) >= -NORM_TOL:
             raise ValueError("matrix has an eigenvalue below -1e-10")
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -575,8 +584,7 @@ def purity(rho: DensityMatrix) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy in bits; eigenvalues in [-1e-10, 0) are clipped to 0."""
-    eigenvalues = np.linalg.eigvalsh(rho.entries)
-    eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
+    eigenvalues = np.where(rho.spectrum < 0.0, 0.0, rho.spectrum)
     positive = eigenvalues[eigenvalues > 0.0]
     return float(-np.sum(positive * np.log2(positive)))
 

@@ -403,6 +403,35 @@ class TestDensityMatrixDiagnostics:
             if abs(purity(rho) - 1.0) < 1e-10:
                 assert entropy < 1e-8
 
+    def test_spectrum_is_the_read_only_eigvalsh_of_the_entries(self):
+        rho = partial_trace(ghz3(), CBE, ["C", "B"])
+        assert rho.spectrum.tobytes() == np.linalg.eigvalsh(rho.entries).tobytes()
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0.5
+
+    def test_entropy_from_the_spectrum_matches_a_fresh_decomposition(self):
+        def fresh_entropy(rho):
+            eigenvalues = np.linalg.eigvalsh(rho.entries)
+            eigenvalues = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
+            positive = eigenvalues[eigenvalues > 0.0]
+            return float(-np.sum(positive * np.log2(positive)))
+
+        rng = np.random.default_rng(18)
+        # A Haar-random column's whole 10-qubit register (decoupling at k=0),
+        # and a 2-qubit reduced state of a random 4-qubit state.
+        column = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        wide = partial_trace(
+            StateVector(column / np.linalg.norm(column), 10),
+            RegisterLayout.from_sizes([("hidden", 10)]), "hidden",
+        )
+        amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        small = partial_trace(
+            StateVector(amps / np.linalg.norm(amps), 4),
+            RegisterLayout.from_sizes([("a", 2), ("b", 2)]), "a",
+        )
+        for rho in (wide, small):
+            assert von_neumann_entropy(rho).hex() == fresh_entropy(rho).hex()
+
     def test_trace_distance_identical(self):
         rho = DensityMatrix(np.eye(2) / 2, 1)
         assert trace_distance(rho, rho) == 0.0
@@ -445,6 +474,13 @@ class TestValueInvariants:
     def test_density_matrix_positivity(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]), 1)
+
+    def test_density_matrix_refuses_nan(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan), 1)
+        # Hermitian wherever it is defined, with one NaN on the diagonal.
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.diag([np.nan, 0.5, 0.25, 0.25]), 2)
 
     def test_amplitudes_are_read_only(self):
         state = ghz3()

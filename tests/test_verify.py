@@ -7,6 +7,7 @@ from realitysteer import (
     BranchStructure,
     Participation,
     RecordEncoding,
+    basis_index,
     born_statistics_test,
     canonical_scenario,
     check_circuit_equivalence,
@@ -15,7 +16,11 @@ from realitysteer import (
     check_no_signalling,
     check_nonlinear_witness,
     expected_post_probabilities,
+    observe,
+    prepare_cat,
     run_checks,
+    scenario_layout,
+    verify,
 )
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -39,6 +44,41 @@ class TestCircuitEquivalence:
         first = check_circuit_equivalence(num_random_cats=25, rng_seed=3)
         second = check_circuit_equivalence(num_random_cats=25, rng_seed=3)
         assert first.metric == second.metric
+
+    @pytest.mark.parametrize("encoding", list(RecordEncoding))
+    def test_stacked_columns_match_observe(self, encoding):
+        layout = scenario_layout(canonical_scenario(encoding=encoding))
+        structures = [BranchStructure.two_branch(1.0, 0.0)] + [
+            verify._random_two_branch(np.random.default_rng(seed)) for seed in range(5)
+        ]
+        cats = [prepare_cat(s, layout) for s in structures]
+        columns = np.stack([cat.amplitudes for cat in cats], axis=1)
+        for variant in ("a", "b", "c"):
+            stacked = verify._observe_columns(columns, layout, variant, encoding)
+            for column, cat in zip(stacked.T, cats):
+                expected = observe(cat, layout, variant, encoding).amplitudes
+                assert np.ascontiguousarray(column).tobytes() == expected.tobytes()
+
+    def test_a_defective_variant_fails(self, monkeypatch):
+        real_stage = verify._observe_stage
+
+        def dropped_gate(layout, variant, encoding):
+            stage = real_stage(layout, variant, encoding)
+            return stage._replace(gates=stage.gates[:-1]) if variant == "c" else stage
+
+        monkeypatch.setattr(verify, "_observe_stage", dropped_gate)
+        verdict = check_circuit_equivalence(num_random_cats=3)
+        assert not verdict.passed
+        assert verdict.metric > 0.5
+
+    def test_every_column_must_start_blank(self):
+        layout = scenario_layout(canonical_scenario())
+        blank = prepare_cat(BranchStructure.equal(1, 1), layout).amplitudes
+        written = np.zeros_like(blank)
+        written[basis_index(layout, {"E1": 1})] = 1.0
+        columns = np.stack([blank, written, blank], axis=1)
+        with pytest.raises(ValueError, match="observe: register 'E1' is not blank"):
+            verify._observe_columns(columns, layout, "a", RecordEncoding.PLAIN)
 
 
 class TestNoSignalling:
