@@ -75,19 +75,34 @@ class CptpCheck(NamedTuple):
     residual: float
 
 
-def _completeness_sum(operators) -> np.ndarray:
-    """The sum of K†K over equal-size operators, accumulated in listed order."""
-    dim = operators[0].shape[0]
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for op in operators:
-        total += op.conj().T @ op
+def _completeness_sum(operators: np.ndarray) -> np.ndarray:
+    """The sum of K†K over the Kraus axis of a ``(..., k, d, d)`` stack, one
+    ``(d, d)`` sum per channel, accumulated in listed order."""
+    total = np.zeros(operators.shape[:-3] + operators.shape[-2:], dtype=np.complex128)
+    for index in range(operators.shape[-3]):
+        op = operators[..., index, :, :]
+        total += op.conj().swapaxes(-1, -2) @ op
     return total
+
+
+def _completeness_residuals(operators: np.ndarray) -> np.ndarray:
+    """The Frobenius deviation of each channel's completeness sum from the
+    identity, for a ``(..., k, d, d)`` stack of Kraus sets."""
+    total = _completeness_sum(operators)
+    return np.linalg.norm(total - np.eye(operators.shape[-1]), axis=(-2, -1))
+
+
+def _check_complete(operators: np.ndarray) -> None:
+    """Refuse a ``(..., k, d, d)`` stack unless every channel passes
+    :func:`validate_cptp`; the message names the worst residual."""
+    residual = float(np.max(_completeness_residuals(operators)))
+    if not residual <= NORM_TOL:
+        raise ValueError(f"channel violates completeness (residual {residual:.3e})")
 
 
 def validate_cptp(channel: KrausChannel, tolerance: float = NORM_TOL) -> CptpCheck:
     """Check the completeness relation; residual is the Frobenius deviation."""
-    total = _completeness_sum(channel.operators)
-    residual = float(np.linalg.norm(total - np.eye(2**channel.arity)))
+    residual = float(_completeness_residuals(np.stack(channel.operators)))
     return CptpCheck(residual <= tolerance, residual)
 
 
@@ -104,9 +119,7 @@ def apply_local_channel(state, layout: RegisterLayout, subsystem: str, channel: 
             f"channel arity {channel.arity} does not match subsystem "
             f"{subsystem!r} of {len(targets)} qubit(s)"
         )
-    ok, residual = validate_cptp(channel)
-    if not ok:
-        raise ValueError(f"channel violates completeness (residual {residual:.3e})")
+    _check_complete(np.stack(channel.operators))
     n = layout.total_qubits
     dim = 2**n
     out = np.zeros((dim, dim), dtype=np.complex128)
@@ -129,16 +142,27 @@ def random_channel(arity: int, num_kraus: int, rng) -> KrausChannel:
     """
     if num_kraus < 1:
         raise ValueError("num_kraus must be >= 1")
-    gen = as_generator(rng)
+    operators = _normalized_kraus(_ginibre_kraus(as_generator(rng), arity, num_kraus))
+    return KrausChannel(tuple(operators), arity)
+
+
+def _ginibre_kraus(gen: np.random.Generator, arity: int, num_kraus: int) -> np.ndarray:
+    """``num_kraus`` Ginibre operators on ``arity`` qubits, ``(k, d, d)``.
+    Each operator draws its real part, then its imaginary part, from ``gen``."""
     dim = 2**arity
-    raw = []
-    for _ in range(num_kraus):
-        real = gen.standard_normal((dim, dim))
-        imag = gen.standard_normal((dim, dim))
-        raw.append((real + 1j * imag) / np.sqrt(2.0))
+    draws = gen.standard_normal((num_kraus, 2, dim, dim))
+    return (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+
+
+def _normalized_kraus(raw: np.ndarray) -> np.ndarray:
+    """Each Kraus set of a ``(..., k, d, d)`` stack times the inverse square
+    root of its completeness sum, which makes every set complete."""
     eigenvalues, vectors = np.linalg.eigh(_completeness_sum(raw))
-    inv_sqrt = vectors @ np.diag(eigenvalues**-0.5) @ vectors.conj().T
-    return KrausChannel(tuple(op @ inv_sqrt for op in raw), arity)
+    dim = raw.shape[-1]
+    scale = np.zeros(eigenvalues.shape + (dim,))
+    scale[..., range(dim), range(dim)] = eigenvalues**-0.5
+    inv_sqrt = vectors @ scale @ vectors.conj().swapaxes(-1, -2)
+    return raw @ inv_sqrt[..., np.newaxis, :, :]
 
 
 def apply_nonlinear_filter(state: StateVector, layout: RegisterLayout, filt: NonlinearFilter) -> StateVector:

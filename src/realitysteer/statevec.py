@@ -168,13 +168,30 @@ class BasisState:
         _check_norm(amps)
 
 
+def _density_spectra(stack: np.ndarray) -> np.ndarray:
+    """Check every matrix of a ``(..., d, d)`` stack as a density matrix:
+    Hermitian and of unit trace within ``NORM_TOL``, and no eigenvalue below
+    ``-NORM_TOL``.  Each check is written so that a NaN fails it; the trace
+    message names the worst deviation.  Returns the ascending eigenvalues,
+    ``(..., d)``."""
+    if not float(np.abs(stack - stack.conj().swapaxes(-1, -2)).max()) <= NORM_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    trace_deviation = float(np.abs(stack.trace(axis1=-2, axis2=-1) - 1.0).max())
+    if not trace_deviation <= NORM_TOL:
+        raise ValueError(f"trace deviates from 1 by {trace_deviation:.3e}")
+    spectra = np.linalg.eigvalsh(stack)
+    if not float(spectra[..., 0].min()) >= -NORM_TOL:
+        raise ValueError("matrix has an eigenvalue below -1e-10")
+    return spectra
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on k qubits.
 
     ``spectrum`` holds the ascending eigenvalues that the positivity check
-    computed, read-only; it is not a constructor argument.  Each check is
-    written so that a NaN fails it.
+    computed, read-only; it is not a constructor argument.  The checks are
+    those of :func:`_density_spectra`, so a NaN fails them.
     """
 
     entries: np.ndarray
@@ -189,14 +206,7 @@ class DensityMatrix:
             raise ValueError("num_qubits must be >= 1")
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape}, expected ({dim}, {dim})")
-        if not float(np.max(np.abs(mat - mat.conj().T))) <= NORM_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        trace_deviation = abs(complex(np.trace(mat)) - 1.0)
-        if not trace_deviation <= NORM_TOL:
-            raise ValueError(f"trace deviates from 1 by {trace_deviation:.3e}")
-        spectrum = np.linalg.eigvalsh(mat)
-        if not float(spectrum[0]) >= -NORM_TOL:
-            raise ValueError("matrix has an eigenvalue below -1e-10")
+        spectrum = _density_spectra(mat)
         spectrum.flags.writeable = False
         object.__setattr__(self, "spectrum", spectrum)
 

@@ -15,11 +15,12 @@ import numpy as np
 
 from .channels import (
     NonlinearFilter,
+    _check_complete,
+    _ginibre_kraus,
+    _normalized_kraus,
     apply_antilinear,
-    apply_local_channel,
     apply_nonlinear_filter,
     nonlinear_probabilities,
-    random_channel,
 )
 from .protocol import (
     BranchStructure,
@@ -43,6 +44,8 @@ from .statevec import (
     RegisterLayout,
     StateVector,
     _apply_matrix,
+    _check_norm,
+    _density_spectra,
     _qubits_first,
     born_probabilities,
     partial_trace,
@@ -84,6 +87,16 @@ def _above(check_name: str, metric: float, tolerance: float, details: str) -> Ve
     return Verdict(check_name, metric > tolerance, metric, tolerance, details)
 
 
+def _count(name: str, value, minimum: int) -> int:
+    """A count argument as an ``int``: an integer, numpy integers included
+    but not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
 def _random_two_branch(rng: np.random.Generator) -> BranchStructure:
     amplitudes = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return BranchStructure(1, 1, amplitudes / np.linalg.norm(amplitudes))
@@ -116,8 +129,7 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     Covers the canonical symmetric cat, a deterministic cat, and seeded
     random cat weights.
     """
-    if num_random_cats < 0:
-        raise ValueError("num_random_cats must be >= 0")
+    num_random_cats = _count("num_random_cats", num_random_cats, 0)
     structures = [
         BranchStructure.equal(1, 1),
         BranchStructure.two_branch(1.0, 0.0),
@@ -143,28 +155,59 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     )
 
 
+def _channel_trace_distances(states: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """For each pure state of a ``(m, 2 d)`` stack on the layout (C: 1 qubit,
+    B: the rest) and its Ginibre Kraus set in ``(m, k, d, d)``: the trace
+    distance of C's reduced state before and after the normalized channel
+    acts on B.  Every step is the arithmetic of ``random_channel``,
+    ``apply_local_channel``, ``partial_trace`` and ``trace_distance`` on one
+    member, with their checks, as one stacked call."""
+    m, dim = states.shape
+    rest = dim // 2
+    operators = _normalized_kraus(kraus)
+    _check_complete(operators)
+    blocks = states.reshape(m, 2, rest)  # C on the rows
+    before = blocks @ blocks.conj().swapaxes(-1, -2)
+    full = np.zeros((m, dim, dim), dtype=np.complex128)
+    for index in range(operators.shape[1]):
+        # B on the rows, as _apply_matrix sees the state, then back to (C, B).
+        branch_blocks = operators[:, index] @ blocks.swapaxes(-1, -2)
+        branches = branch_blocks.swapaxes(-1, -2).reshape(m, dim)
+        full += branches[:, :, np.newaxis] * branches.conj()[:, np.newaxis, :]
+    # partial_trace's layout for a density matrix: kept C first on the
+    # rows, then on the columns.
+    both = full.swapaxes(-1, -2).reshape(m, 2, rest, 2, rest)
+    after = np.einsum("...biai->...ab", both)
+    for stack in (before, full, after):
+        _density_spectra(stack)
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(before - after)), axis=-1)
+
+
 def check_no_signalling(num_random_channels: int = 100, rng_seed: int = DEFAULT_SEED) -> Verdict:
     """Max change of the cat's reduced state under local operations on the
     observer's side: seeded random Kraus channels on random bipartite pure
     states, plus the full memory-erase pipeline treated as one big local
     operation.
     """
-    if num_random_channels < 1:
-        raise ValueError("num_random_channels must be >= 1")
-    worst = 0.0
+    num_random_channels = _count("num_random_channels", num_random_channels, 1)
+    # Draw every index in order; the channels then run grouped by
+    # (arity, Kraus count), one stack per group.
+    groups = {}
     for index in range(num_random_channels):
         gen = as_generator(derive_seed(rng_seed, index))
-        arity = 1 + index % 2
-        layout = RegisterLayout.from_sizes([("C", 1), ("B", arity)])
+        arity, num_kraus = 1 + index % 2, 1 + index % 3
         amplitudes = gen.standard_normal(2 ** (1 + arity)) + 1j * gen.standard_normal(
             2 ** (1 + arity)
         )
-        state = StateVector(amplitudes / np.linalg.norm(amplitudes), 1 + arity)
-        before = partial_trace(state, layout, ["C"])
-        channel = random_channel(arity, 1 + index % 3, gen)
-        after_full = apply_local_channel(state, layout, "B", channel)
-        after = partial_trace(after_full, layout, ["C"])
-        worst = max(worst, trace_distance(before, after))
+        state = amplitudes / np.linalg.norm(amplitudes)
+        _check_norm(state)
+        states, kraus = groups.setdefault((arity, num_kraus), ([], []))
+        states.append(state)
+        kraus.append(_ginibre_kraus(gen, arity, num_kraus))
+    worst = 0.0
+    for states, kraus in groups.values():
+        distances = _channel_trace_distances(np.stack(states), np.stack(kraus))
+        worst = max(worst, float(np.max(distances)))
     # The erase pipeline acts only on B and the clinic ancilla, so it is a
     # local operation too and must leave the cat's state untouched.
     for index in range(8):
@@ -312,8 +355,7 @@ def born_statistics_test(scenario: "Scenario | None" = None, num_trials: int = 2
     """Chi-square goodness of fit of sampled post-outcomes against the
     closed-form prediction."""
     scenario = scenario or canonical_scenario(rng_seed=DEFAULT_SEED)
-    if num_trials < 1000:
-        raise ValueError("num_trials must be >= 1000")
+    num_trials = _count("num_trials", num_trials, 1000)
     expected = expected_post_probabilities(scenario)
     batch = TrialEngine(scenario).run_batch(scenario.rng_seed, 0, num_trials)
     counts = np.bincount(batch.post, minlength=scenario.branch_structure.num_branches).astype(float)

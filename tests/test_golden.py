@@ -46,8 +46,9 @@ def test_payload_digest(name, tmp_path):
     assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == DIGESTS[name]
 
 
-# The full verify suite at the default seed.  Its no_signalling check is the
-# one report path that takes the partial trace of a density matrix.
+# The full verify suite at the default seed.  Its no_signalling check traces
+# post-channel density matrices in stacked batches, with the einsum that
+# partial_trace uses on a DensityMatrix; no report path calls that branch.
 VERIFY_DIGEST = "daab7f229a761880a7a64030f06f5721c18fc3cac436fe33d3d796368e0d005f"
 
 

@@ -5,8 +5,12 @@ import pytest
 
 from realitysteer import (
     BranchStructure,
+    DensityMatrix,
     Participation,
     RecordEncoding,
+    RegisterLayout,
+    StateVector,
+    apply_local_channel,
     basis_index,
     born_statistics_test,
     canonical_scenario,
@@ -15,13 +19,20 @@ from realitysteer import (
     check_indistinguishability,
     check_no_signalling,
     check_nonlinear_witness,
+    clinic_erase,
     expected_post_probabilities,
     observe,
+    partial_trace,
     prepare_cat,
+    random_channel,
     run_checks,
     scenario_layout,
+    spread_to_environment,
+    trace_distance,
     verify,
 )
+from realitysteer.seeding import as_generator, derive_seed
+from realitysteer.statevec import _density_spectra
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -95,6 +106,153 @@ class TestNoSignalling:
         first = check_no_signalling(num_random_channels=10, rng_seed=2)
         second = check_no_signalling(num_random_channels=10, rng_seed=2)
         assert first.metric == second.metric
+
+
+def _channel_distances(num_channels, rng_seed):
+    """Each random channel's trace distance, one channel at a time through
+    the public ``random_channel``, ``apply_local_channel``, ``partial_trace``
+    and ``trace_distance``: the per-channel loop the stacked check replaces."""
+    distances = []
+    for index in range(num_channels):
+        gen = as_generator(derive_seed(rng_seed, index))
+        arity = 1 + index % 2
+        layout = RegisterLayout.from_sizes([("C", 1), ("B", arity)])
+        amplitudes = gen.standard_normal(2 ** (1 + arity)) + 1j * gen.standard_normal(
+            2 ** (1 + arity)
+        )
+        state = StateVector(amplitudes / np.linalg.norm(amplitudes), 1 + arity)
+        before = partial_trace(state, layout, ["C"])
+        channel = random_channel(arity, 1 + index % 3, gen)
+        after = partial_trace(apply_local_channel(state, layout, "B", channel), layout, ["C"])
+        distances.append(trace_distance(before, after))
+    return distances
+
+
+def _erase_distances(rng_seed):
+    """The eight erase-pipeline trace distances, through the public stages."""
+    distances = []
+    for index in range(8):
+        gen = as_generator(derive_seed(rng_seed, 10_000 + index))
+        scenario = canonical_scenario(branch_structure=verify._random_two_branch(gen))
+        layout = scenario_layout(scenario)
+        observed = observe(prepare_cat(scenario.branch_structure, layout), layout,
+                           scenario.observe_variant, scenario.encoding)
+        state = spread_to_environment(observed, layout, scenario.env_qubits - 1)
+        erased = clinic_erase(state, layout, scenario.encoding)
+        distances.append(trace_distance(partial_trace(state, layout, ["C"]),
+                                        partial_trace(erased, layout, ["C"])))
+    return distances
+
+
+def _frozen_random_channel(arity, num_kraus, seed):
+    """``random_channel``'s operators by the formula it had when each channel
+    was drawn and normalized on its own; kept as the reference."""
+    gen = np.random.default_rng(seed)
+    dim = 2**arity
+    raw = []
+    for _ in range(num_kraus):
+        real = gen.standard_normal((dim, dim))
+        imag = gen.standard_normal((dim, dim))
+        raw.append((real + 1j * imag) / np.sqrt(2.0))
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for op in raw:
+        total += op.conj().T @ op
+    eigenvalues, vectors = np.linalg.eigh(total)
+    inv_sqrt = vectors @ np.diag(eigenvalues**-0.5) @ vectors.conj().T
+    return [op @ inv_sqrt for op in raw]
+
+
+class TestStackedNoSignalling:
+    @pytest.mark.parametrize("rng_seed", [20260810, 1, 4])
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 100])
+    def test_equals_the_per_channel_loop(self, monkeypatch, count, rng_seed):
+        calls = []
+        real = verify._channel_trace_distances
+
+        def recorded(states, kraus):
+            distances = real(states, kraus)
+            calls.append((states.shape[1], kraus.shape[1], distances))
+            return distances
+
+        monkeypatch.setattr(verify, "_channel_trace_distances", recorded)
+        verdict = check_no_signalling(count, rng_seed=rng_seed)
+        loop = _channel_distances(count, rng_seed)
+        assert float.hex(verdict.metric) == float.hex(max([0.0] + loop + _erase_distances(rng_seed)))
+        # One stack per (arity, Kraus count) group, each member's distance
+        # equal to the loop's, in index order.
+        groups = {(2 ** (2 + i % 2), 1 + i % 3) for i in range(count)}
+        assert {(dim, k) for dim, k, _ in calls} == groups
+        for dim, k, distances in calls:
+            members = [i for i in range(count) if (2 ** (2 + i % 2), 1 + i % 3) == (dim, k)]
+            assert [float.hex(float(d)) for d in distances] == [float.hex(loop[i]) for i in members]
+
+    def test_after_traced_over_b_fails(self, monkeypatch):
+        real_einsum = np.einsum
+
+        def over_b(subscripts, *operands, **kwargs):
+            if subscripts == "...biai->...ab":
+                subscripts = "...ibia->...ab"
+            return real_einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", over_b)
+        verdict = check_no_signalling(1)
+        assert not verdict.passed
+        assert verdict.metric > 1e-3
+
+    def test_an_unnormalized_kraus_set_raises(self, monkeypatch):
+        real = verify._normalized_kraus
+
+        def one_left_raw(raw):
+            operators = real(raw)
+            operators[-1] = raw[-1]
+            return operators
+
+        monkeypatch.setattr(verify, "_normalized_kraus", one_left_raw)
+        with pytest.raises(ValueError, match="channel violates completeness"):
+            check_no_signalling(7)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.5, 0.1], [0.0, 0.5]]),
+        np.full((2, 2), np.nan),
+        np.array([[1.5, 0.0], [0.0, -0.5]]),
+        np.array([[0.6, 0.0], [0.0, 0.6]]),
+    ], ids=["non_hermitian", "nan", "negative_eigenvalue", "trace"])
+    def test_one_bad_matrix_raises_as_density_matrix(self, bad):
+        stack = np.stack([np.eye(2) / 2, bad, np.diag([1.0, 0.0])]).astype(np.complex128)
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(bad, 1)
+        with pytest.raises(ValueError) as stacked:
+            _density_spectra(stack)
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("num_kraus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 20260810])
+    def test_random_channel_operators_are_unchanged(self, arity, num_kraus, seed):
+        channel = random_channel(arity, num_kraus, seed)
+        expected = _frozen_random_channel(arity, num_kraus, seed)
+        assert [op.tobytes() for op in channel.operators] == [op.tobytes() for op in expected]
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("call, name", [
+        (lambda: check_no_signalling(True), "num_random_channels"),
+        (lambda: check_no_signalling(2.5), "num_random_channels"),
+        (lambda: check_circuit_equivalence(2.5), "num_random_cats"),
+        (lambda: check_circuit_equivalence(False), "num_random_cats"),
+        (lambda: born_statistics_test(num_trials=1000.5), "num_trials"),
+        (lambda: born_statistics_test(num_trials=True), "num_trials"),
+    ], ids=["channels_bool", "channels_float", "cats_float", "cats_bool", "trials_float", "trials_bool"])
+    def test_refuses_a_non_integer(self, call, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
+
+    def test_accepts_numpy_integers(self):
+        verdict = check_no_signalling(np.int64(3))
+        assert verdict.passed
+        assert "under 3 random local channels" in verdict.details
+        assert check_circuit_equivalence(np.int32(2)).passed
+        assert born_statistics_test(num_trials=np.int64(1000)).passed
 
 
 class TestIndistinguishability:
