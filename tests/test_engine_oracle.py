@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from realitysteer import (
     BranchStructure,
+    GateSpec,
     Participation,
     RecordEncoding,
     Scenario,
     TrialEngine,
+    protocol,
 )
 from conftest import dense_engine_tables
+from test_seeding import ACCEPTED
 
 # The dense oracle costs 2^n per gate: the drawn scenarios stay at <= 16 qubits.
 DENSE_BUDGET = 16
@@ -115,3 +118,48 @@ def test_engine_tables_match_dense_oracle(scenario):
 def test_engine_tables_match_dense_oracle_at_20_qubits(encoding, participation, env_qubits):
     scenario = phased_scenario(1, 1, 20261019, None, encoding, participation, "a", env_qubits, None)
     assert _bits(engine_tables(TrialEngine(scenario))) == _bits(dense_engine_tables(scenario))
+
+
+# The protocol always pins its records, so a working build only ever reads 1
+# or -1.  Each fault below breaks one stage on both sides (the dense oracle
+# calls the same stage builders), so the "not pinned" reading 0 must agree
+# bit for bit and must reach the reports as an inconsistent memory.
+def _erase_every_branch(monkeypatch):
+    build = protocol._conditional_clinic_stage
+    monkeypatch.setattr(
+        protocol, "_conditional_clinic_stage",
+        lambda layout, structure, participation, encoding: build(layout, structure, ALL, encoding),
+    )
+
+
+def _write_the_wrong_record(monkeypatch):
+    build = protocol._rewrite_stage
+
+    def wrong(layout, encoding):
+        stage = build(layout, encoding)
+        return stage._replace(gates=stage.gates + [GateSpec.x(layout.qubits("B")[-1])])
+
+    monkeypatch.setattr(protocol, "_rewrite_stage", wrong)
+
+
+PLAIN_TWO = next(s for s in ACCEPTED if s.encoding is PLAIN and s.participation is ALL
+                 and s.nonlinear_lambda is None)
+TAGGED_FOUR = next(s for s in ACCEPTED if s.branch_structure.num_branches == 4)
+
+
+@pytest.mark.parametrize("fault, scenario, column, expected", [
+    (_erase_every_branch, TAGGED_FOUR, "_ok_stay", [0, 0, -1, -1]),
+    (_write_the_wrong_record, PLAIN_TWO, "_ok_patient", [0, 0]),
+    (_write_the_wrong_record, TAGGED_FOUR, "_ok_patient", [-1, -1, 0, 0]),
+], ids=["erase_every_branch", "wrong_record_plain", "wrong_record_tagged"])
+def test_unpinned_records_match_dense_oracle(monkeypatch, fault, scenario, column, expected):
+    fault(monkeypatch)
+    engine = TrialEngine(scenario)
+    tables = engine_tables(engine)
+    assert _bits(tables) == _bits(dense_engine_tables(scenario))
+    assert tables[column] == expected
+    batch = engine.run_batch(scenario.rng_seed, 0, 2000)
+    reads = np.where(batch.erased, engine._ok_patient[batch.post], engine._ok_stay[batch.pre])
+    assert (reads == 0).any()
+    assert not batch.consistent[reads == 0].any()
+    assert batch.consistent[reads == 1].all()
