@@ -529,7 +529,7 @@ class TrialEngine:
 
         cat = BasisState(_cat_indices(structure, layout), structure.weights, layout.total_qubits)
         state = _recorded_state(scenario, layout, cat)
-        self.pre_probs, self.cat_before = self._marginals(state, records)
+        self.pre_probs, self.cat_before = self._marginals(self._joint(state), records)
 
         participating = structure.branches_in(scenario.participation)
         if scenario.participation is Participation.ALL:
@@ -545,26 +545,28 @@ class TrialEngine:
             (target,) = layout.qubits("A")  # two branches: a one-qubit ancilla
             state = basis_filter(state, target, scenario.nonlinear_lambda)
 
-        # Memory checks per branch; -1 marks a check never evaluated, where
-        # run() raises a KeyError and run_batch a RuntimeError.
+        # Memory checks per branch b, off a joint (C, B) table: 1 if cell
+        # (b, records[b]) holds all but RECORD_TOL of its total, else 0.  -1
+        # marks a check never evaluated, where run() raises a KeyError and
+        # run_batch a RuntimeError.  A kept record holds its cat row's mass.
+        def pinned(evaluated, joint, totals):
+            cells = joint[branches, records] >= (1.0 - RECORD_TOL) * totals
+            return np.where(evaluated, cells, -1).astype(np.int8)
+
         self._participates = np.array([b in participating for b in branches])
-        self._ok_stay = np.full(structure.num_branches, -1, dtype=np.int8)
-        self._ok_patient = np.full(structure.num_branches, -1, dtype=np.int8)
-        for branch in branches:
-            if not self._participates[branch] and self.pre_probs[branch] > NORM_TOL:
-                self._ok_stay[branch] = self._pinned(state, "C", branch, "B", records[branch])
+        joint = self._joint(state)
+        self._ok_stay = pinned(~self._participates & (self.pre_probs > NORM_TOL), joint, joint.sum(axis=1))
 
         # Patient path: condition on the blank-memory observer, re-couple,
         # and tabulate the reachable branches.  Skipped when no branch was
-        # erased with any weight (the draw can then never need it).
-        self.post_probs = None
-        self.cat_after_patient = None
+        # erased with any weight (the draw can then never need it).  A fresh
+        # record holds its record column's mass.
+        self.post_probs = self.cat_after_patient = None
+        self._ok_patient = np.full(structure.num_branches, -1, dtype=np.int8)
         if self.pre_probs[self._participates].sum() > NORM_TOL:
-            state = _recouple_patient(state, layout, encoding)
-            self.post_probs, self.cat_after_patient = self._marginals(state, records)
-            for branch in branches:
-                if self.post_probs[branch] > NORM_TOL:
-                    self._ok_patient[branch] = self._pinned(state, "B", records[branch], "C", branch)
+            joint = self._joint(_recouple_patient(state, layout, encoding))
+            self.post_probs, self.cat_after_patient = self._marginals(joint, records)
+            self._ok_patient = pinned(self.post_probs > NORM_TOL, joint, self.post_probs)
 
         self.labels = tuple(structure.label(b) for b in branches)
         self.cat_after_stay = tuple(
@@ -573,21 +575,19 @@ class TrialEngine:
         self._pre_cdf = clamped_cdf(self.pre_probs)
         self._post_cdf = None if self.post_probs is None else clamped_cdf(self.post_probs)
 
-    def _marginals(self, state: BasisState, records) -> tuple:
+    def _joint(self, state: BasisState) -> np.ndarray:
+        """The (C, B) Born table, row b holding cat value b, cut to the branches."""
+        table = basis_born_probabilities(state, self.layout, ["C", "B"])
+        return table.reshape(-1, 2 ** self.layout.size("B"))[: self.structure.num_branches]
+
+    def _marginals(self, joint: np.ndarray, records) -> tuple:
         """Per branch, the brain's record probability (array) and the cat's
-        marginal (tuple)."""
-        probs = basis_born_probabilities(state, self.layout, "B")[records]
+        marginal (tuple): sums of one nonzero cell, so exact."""
+        probs = joint[:, records].sum(axis=0)
         residual = abs(float(probs.sum()) - 1.0)
         if residual > RECORD_TOL:
             raise AssertionError(f"brain register holds non-record content (residual {residual:.3e})")
-        cat = basis_born_probabilities(state, self.layout, "C")[: len(records)]
-        return probs, tuple(float(p) for p in cat)
-
-    def _pinned(self, state: BasisState, given: str, value: int, read: str, expect: int) -> bool:
-        """Whether conditioning register ``given`` on ``value`` leaves
-        register ``read`` holding ``expect``."""
-        conditioned = basis_project_onto(state, self.layout, given, value)
-        return bool(basis_born_probabilities(conditioned, self.layout, read)[expect] >= 1.0 - RECORD_TOL)
+        return probs, tuple(float(p) for p in joint.sum(axis=1))
 
     def run(self, seed: int) -> TrialReport:
         rng = as_generator(seed)
