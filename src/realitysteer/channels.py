@@ -22,6 +22,8 @@ from .statevec import (
     RegisterLayout,
     StateVector,
     _apply_matrix,
+    _check_filter_weight,
+    _count,
     _filter_norm,
     _frozen_array,
     _subsystem_qubits,
@@ -66,8 +68,7 @@ class NonlinearFilter:
     target: str
 
     def __post_init__(self):
-        if not np.isfinite(self.lambda_) or self.lambda_ < 0.0:
-            raise ValueError("filter weight must be finite and >= 0")
+        _check_filter_weight("lambda_", self.lambda_)
 
 
 class CptpCheck(NamedTuple):
@@ -140,8 +141,7 @@ def random_channel(arity: int, num_kraus: int, rng) -> KrausChannel:
     root of their completeness sum.  Deterministic per seed; a single Kraus
     operator comes out unitary.
     """
-    if num_kraus < 1:
-        raise ValueError("num_kraus must be >= 1")
+    arity, num_kraus = _count("arity", arity, 1), _count("num_kraus", num_kraus, 1)
     operators = _normalized_kraus(_ginibre_kraus(as_generator(rng), arity, num_kraus))
     return KrausChannel(tuple(operators), arity)
 
@@ -192,11 +192,8 @@ def nonlinear_probabilities(c0: complex, c1: complex, lambda_: float):
     p1 = abs(c1) ** 2
     if abs(p0 + p1 - 1.0) > NORM_TOL:
         raise ValueError("branch amplitudes must be normalized")
-    if lambda_ < 0.0 or not np.isfinite(lambda_):
-        raise ValueError("filter weight must be finite and >= 0")
+    _check_filter_weight("lambda_", lambda_, (p0, p1))
     denominator = p0 + lambda_**2 * p1
-    if denominator <= 0.0:
-        raise ValueError("filter annihilates both branches")
     return p0 / denominator, lambda_**2 * p1 / denominator
 
 

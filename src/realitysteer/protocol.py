@@ -58,6 +58,8 @@ from .statevec import (
     GateSpec,
     RegisterLayout,
     StateVector,
+    _check_filter_weight,
+    _count,
     _frozen_array,
     apply_gate,
     basis_born_probabilities,
@@ -112,8 +114,7 @@ class BranchStructure:
     def __post_init__(self):
         # Counts first: the equal weights and the cat width derive from them.
         for key in ("num_alive", "num_dead"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key}: must be >= 1")
+            object.__setattr__(self, key, _count(key, getattr(self, key), 1))
         if self.cat_width > MAX_QUBITS:
             key = "num_alive" if self.num_alive >= self.num_dead else "num_dead"
             raise ValueError(
@@ -191,26 +192,20 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.env_qubits < 1:
-            raise ValueError("env_qubits: must be >= 1")
+        object.__setattr__(self, "env_qubits", _count("env_qubits", self.env_qubits, 1))
         # Each copy takes at least one qubit: refuse before laying them out.
         if self.env_qubits > MAX_QUBITS:
             raise ValueError(f"env_qubits: {self.env_qubits} copies exceed the {MAX_QUBITS}-qubit budget")
         if self.observe_variant not in ("a", "b", "c"):
             raise ValueError("observe_variant: must be one of a, b, c")
-        lam = self.nonlinear_lambda
-        if lam is not None:
-            # A finite lambda^2 keeps the filtered norm and probabilities finite.
-            if not (lam >= 0 and math.isfinite(lam * lam)):
-                raise ValueError("nonlinear_lambda: must be >= 0 with a finite square")
+        if self.nonlinear_lambda is not None:
             if self.branch_structure.num_branches != 2:
                 raise ValueError(
                     "nonlinear_lambda: the filter targets a single record qubit and "
                     "supports two-branch scenarios only"
                 )
-            p0, p1 = np.abs(self.branch_structure.weights) ** 2
-            if math.sqrt(p0 + lam * lam * p1) <= NORM_TOL:
-                raise ValueError("nonlinear_lambda: the filter annihilates both branches")
+            born = np.abs(self.branch_structure.weights) ** 2
+            _check_filter_weight("nonlinear_lambda", self.nonlinear_lambda, born)
         total = scenario_layout(self).total_qubits
         if total > MAX_QUBITS:
             raise ValueError(
@@ -615,6 +610,7 @@ class TrialEngine:
         columns equal that report field by field.  Where ``run`` would
         raise, this raises ``RuntimeError("trial i failed: ...")`` for the
         first such trial."""
+        first, count = _count("first", first, 0), _count("count", count, 1)
         u_pre, u_post = first_two_uniforms(derive_seeds(base_seed, first, count))
         pre = np.searchsorted(self._pre_cdf, u_pre, side="right")
         erased = self._participates[pre]
@@ -690,8 +686,7 @@ def run_ensemble(scenario: Scenario, num_trials: int, *, first_trial: int = 0) -
     ``rng_seed = derive_seed(scenario.rng_seed, i)``, so serial and chunked
     ensembles agree.
     """
-    if num_trials < 1:
-        raise ValueError("num_trials must be >= 1")
+    num_trials = _count("num_trials", num_trials, 1)
     return TrialEngine(scenario).run_batch(scenario.rng_seed, first_trial, num_trials).reports()
 
 
@@ -773,8 +768,7 @@ def decoupling_sweep(num_record_qubits: int, accessible_values, num_encodings: i
     ``decoupling_diagnostic`` for that seed exactly (the random unitary does
     not depend on the accessibility split).
     """
-    if num_encodings < 1:
-        raise ValueError("num_encodings must be >= 1")
+    num_encodings = _count("num_encodings", num_encodings, 1)
     values = list(accessible_values)
     _check_record_split(num_record_qubits, values)
     results = {int(k): [] for k in values}

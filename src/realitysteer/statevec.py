@@ -23,6 +23,7 @@ the basis permutations the protocol is made of, and reduce with the same
 floating-point order as the dense kernels, so both give the same bits.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,14 @@ _FIXED_GATES = {
     "cnot": _frozen_array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
     "swap": _frozen_array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
 }
+
+
+def _count(name: str, value, minimum: int) -> int:
+    """A count argument as an ``int``: an integer, numpy integers included
+    but not a bool, of at least ``minimum``.  The message starts with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name}: must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _check_norm(amps: np.ndarray) -> None:
@@ -494,6 +503,19 @@ def _filter_norm(vector: np.ndarray) -> float:
             "degenerate filter: weight 0 with no support on the target's 0 branch"
         )
     return norm
+
+
+def _check_filter_weight(name: str, weight, born=None) -> None:
+    """The nonlinear filter's rule: a weight >= 0 with a finite square, so the
+    filtered norm and probabilities stay finite.  Given the two branches' Born
+    weights ``(p0, p1)``, the filtered norm ``sqrt(p0 + weight^2 p1)`` must
+    also exceed ``NORM_TOL``, as :func:`_filter_norm` demands.  Messages
+    start with ``name``."""
+    square = float(weight) * float(weight) if weight >= 0 else math.nan
+    if not math.isfinite(square):
+        raise ValueError(f"{name}: must be >= 0 with a finite square")
+    if born is not None and math.sqrt(born[0] + square * born[1]) <= NORM_TOL:
+        raise ValueError(f"{name}: the filter annihilates both branches")
 
 
 # Kernels on a BasisState.  Where a dense kernel's result depends on the order

@@ -45,6 +45,7 @@ from .statevec import (
     StateVector,
     _apply_matrix,
     _check_norm,
+    _count,
     _density_spectra,
     _qubits_first,
     born_probabilities,
@@ -85,16 +86,6 @@ def _below(check_name: str, metric: float, tolerance: float, details: str) -> Ve
 def _above(check_name: str, metric: float, tolerance: float, details: str) -> Verdict:
     """A verdict that passes when the metric is above its tolerance."""
     return Verdict(check_name, metric > tolerance, metric, tolerance, details)
-
-
-def _count(name: str, value, minimum: int) -> int:
-    """A count argument as an ``int``: an integer, numpy integers included
-    but not a bool, of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-    return int(value)
 
 
 def _random_two_branch(rng: np.random.Generator) -> BranchStructure:

@@ -9,7 +9,9 @@ from realitysteer import (
     Participation,
     RecordEncoding,
     RegisterLayout,
+    Scenario,
     StateVector,
+    TrialEngine,
     apply_local_channel,
     basis_index,
     born_statistics_test,
@@ -20,12 +22,14 @@ from realitysteer import (
     check_no_signalling,
     check_nonlinear_witness,
     clinic_erase,
+    decoupling_sweep,
     expected_post_probabilities,
     observe,
     partial_trace,
     prepare_cat,
     random_channel,
     run_checks,
+    run_ensemble,
     scenario_layout,
     spread_to_environment,
     trace_distance,
@@ -48,7 +52,7 @@ class TestCircuitEquivalence:
         assert verdict.passed
 
     def test_refuses_a_negative_count(self):
-        with pytest.raises(ValueError, match="num_random_cats must be >= 0"):
+        with pytest.raises(ValueError, match="num_random_cats: must be an integer >= 0"):
             check_circuit_equivalence(num_random_cats=-3)
 
     def test_metric_reproducible(self):
@@ -235,6 +239,9 @@ class TestStackedNoSignalling:
 
 
 class TestCountArguments:
+    """The one count rule, ``statevec._count``, at every library site that
+    takes a count: each refusal is a ValueError that starts with the name."""
+
     @pytest.mark.parametrize("call, name", [
         (lambda: check_no_signalling(True), "num_random_channels"),
         (lambda: check_no_signalling(2.5), "num_random_channels"),
@@ -242,9 +249,43 @@ class TestCountArguments:
         (lambda: check_circuit_equivalence(False), "num_random_cats"),
         (lambda: born_statistics_test(num_trials=1000.5), "num_trials"),
         (lambda: born_statistics_test(num_trials=True), "num_trials"),
-    ], ids=["channels_bool", "channels_float", "cats_float", "cats_bool", "trials_float", "trials_bool"])
+        (lambda: run_ensemble(canonical_scenario(), 2.5), "num_trials"),
+        (lambda: run_ensemble(canonical_scenario(), True), "num_trials"),
+        (lambda: decoupling_sweep(4, [1], 2.5, 0), "num_encodings"),
+        (lambda: BranchStructure(1.5, 1, None), "num_alive"),
+        (lambda: BranchStructure(1, True, None), "num_dead"),
+        (lambda: Scenario(env_qubits=2.5), "env_qubits"),
+        (lambda: Scenario(env_qubits=True), "env_qubits"),
+        (lambda: random_channel(1, 1.5, 0), "num_kraus"),
+        (lambda: random_channel(1.0, 1, 0), "arity"),
+    ], ids=[
+        "channels_bool", "channels_float", "cats_float", "cats_bool", "trials_float",
+        "trials_bool", "ensemble_float", "ensemble_bool", "encodings_float", "alive_float",
+        "dead_bool", "env_float", "env_bool", "kraus_float", "arity_float",
+    ])
     def test_refuses_a_non_integer(self, call, name):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=f"{name}: must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("call, name, minimum", [
+        (lambda: check_circuit_equivalence(-1), "num_random_cats", 0),
+        (lambda: check_no_signalling(0), "num_random_channels", 1),
+        (lambda: born_statistics_test(num_trials=999), "num_trials", 1000),
+        (lambda: run_ensemble(canonical_scenario(), 0), "num_trials", 1),
+        (lambda: TrialEngine(canonical_scenario()).run_batch(0, 0, -1), "count", 1),
+        (lambda: TrialEngine(canonical_scenario()).run_batch(0, 0, 0), "count", 1),
+        (lambda: TrialEngine(canonical_scenario()).run_batch(0, -2, 3), "first", 0),
+        (lambda: decoupling_sweep(4, [1], 0, 0), "num_encodings", 1),
+        (lambda: BranchStructure(0, 1, None), "num_alive", 1),
+        (lambda: Scenario(env_qubits=0), "env_qubits", 1),
+        (lambda: random_channel(1, 0, 0), "num_kraus", 1),
+        (lambda: random_channel(0, 1, 0), "arity", 1),
+    ], ids=[
+        "cats", "channels", "trials", "ensemble", "batch_negative", "batch_empty",
+        "batch_first", "encodings", "alive", "env", "kraus", "arity",
+    ])
+    def test_refuses_a_count_below_its_minimum(self, call, name, minimum):
+        with pytest.raises(ValueError, match=f"{name}: must be an integer >= {minimum}, got "):
             call()
 
     def test_accepts_numpy_integers(self):
@@ -253,6 +294,11 @@ class TestCountArguments:
         assert "under 3 random local channels" in verdict.details
         assert check_circuit_equivalence(np.int32(2)).passed
         assert born_statistics_test(num_trials=np.int64(1000)).passed
+        scenario = Scenario(BranchStructure(np.int64(1), np.int32(1), None), env_qubits=np.int64(2))
+        assert len(run_ensemble(scenario, np.int64(3), first_trial=np.int32(1))) == 3
+        assert len(TrialEngine(scenario).run_batch(0, np.uint8(0), np.int16(2))) == 2
+        assert len(decoupling_sweep(4, [1], np.int64(2), 0)[1]) == 2
+        assert random_channel(np.int64(2), np.int32(3), 0).arity == 2
 
 
 class TestIndistinguishability:
@@ -325,6 +371,11 @@ class TestCoordination:
 
 
 class TestNonlinearWitness:
+    def test_refuses_a_weight_with_an_infinite_square(self):
+        # 1e155 is finite, its square is not: the filtered norm would overflow.
+        with pytest.raises(ValueError, match="lambda_: must be >= 0 with a finite square"):
+            check_nonlinear_witness(lambda_=1e155)
+
     def test_identity_weight_gives_zero_witness(self):
         verdict = check_nonlinear_witness(lambda_=1.0)
         assert verdict.passed
