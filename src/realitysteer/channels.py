@@ -44,6 +44,7 @@ class KrausChannel:
     arity: int
 
     def __post_init__(self):
+        object.__setattr__(self, "arity", _count("arity", self.arity, 1))
         ops = tuple(_frozen_array(op) for op in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")

@@ -31,8 +31,7 @@ rewrite) is one gate list of X, CNOT and multi-controlled X, built once by
 its ``_*_stage`` function.  These gates only relabel basis states, so the
 register holds one amplitude per branch however many qubits it has.  The
 public stage functions apply the lists to a dense ``StateVector``;
-``TrialEngine`` applies the same lists to a ``BasisState`` and gives the
-same bits.
+``TrialEngine`` applies the same lists to a ``BasisState``.
 """
 
 import math
@@ -58,14 +57,15 @@ from .statevec import (
     GateSpec,
     RegisterLayout,
     StateVector,
+    _bit_values,
     _check_filter_weight,
     _count,
     _frozen_array,
+    _squared_norm,
     apply_gate,
     basis_born_probabilities,
     basis_filter,
     basis_index,
-    basis_partial_trace,
     basis_project_onto,
     born_probabilities,
     partial_trace,
@@ -192,6 +192,10 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # Any integer seed, of any sign: the seeding reduces it mod 2^64.
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer)):
+            raise ValueError(f"rng_seed: must be an integer, got {self.rng_seed!r}")
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
         object.__setattr__(self, "env_qubits", _count("env_qubits", self.env_qubits, 1))
         # Each copy takes at least one qubit: refuse before laying them out.
         if self.env_qubits > MAX_QUBITS:
@@ -506,12 +510,11 @@ class TrialEngine:
     The unitary stages and all state-level diagnostics are seed-independent,
     so they are evaluated once, and the engine keeps only their per-branch
     tables, never a state.  The pipeline runs on a ``BasisState``: one
-    amplitude per branch, gates applied by ``permute``.  Its tables, brain
-    purity and brain entropy equal, bit for bit, what the same pipeline
-    gives on a dense ``StateVector``.  ``run(seed)`` draws the observer's pre- and
-    post-branch from those tables.  ``run_batch`` draws a range of an
-    ensemble's trials as columns, each equal to what ``run`` gives for that
-    trial's seed; ``run(seed)`` stays the scalar reference.
+    amplitude per branch, gates applied by ``permute``.  ``run(seed)`` draws
+    the observer's pre- and post-branch from those tables.  ``run_batch``
+    draws a range of an ensemble's trials as columns, each equal to what
+    ``run`` gives for that trial's seed; ``run(seed)`` stays the scalar
+    reference.
     """
 
     def __init__(self, scenario: Scenario):
@@ -532,7 +535,7 @@ class TrialEngine:
         else:
             erase = _conditional_clinic_stage(layout, structure, scenario.participation, encoding)
         state = _apply_stage(state, layout, erase)
-        brain = basis_partial_trace(state, layout, ["B"])
+        brain = self._brain(state)
         self.brain_purity = purity(brain)
         self.brain_entropy = von_neumann_entropy(brain)
 
@@ -574,6 +577,19 @@ class TrialEngine:
         """The (C, B) Born table, row b holding cat value b, cut to the branches."""
         table = basis_born_probabilities(state, self.layout, ["C", "B"])
         return table.reshape(-1, 2 ** self.layout.size("B"))[: self.structure.num_branches]
+
+    def _brain(self, state: BasisState) -> DensityMatrix:
+        """The brain's reduced state.  No stage targets C and each branch
+        starts at its own cat value, so every stored amplitude is alone in its
+        column of the (B, rest) block: the state is diagonal, entry v the
+        squared norm of the amplitudes whose B value is v."""
+        n, layout = state.num_qubits, self.layout
+        if np.unique(_bit_values(state.indices, n, layout.qubits("C"))).size != state.indices.size:
+            raise AssertionError("two stored amplitudes share a cat value")
+        values = _bit_values(state.indices, n, layout.qubits("B"))
+        width = layout.size("B")
+        diagonal = [_squared_norm(state.amplitudes[values == v]) for v in range(2**width)]
+        return DensityMatrix(np.diag(diagonal), width)
 
     def _marginals(self, joint: np.ndarray, records) -> tuple:
         """Per branch, the brain's record probability (array) and the cat's

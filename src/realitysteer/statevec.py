@@ -19,8 +19,7 @@ Conventions fixed here and relied on everywhere else:
 A state is held one of two ways.  ``StateVector`` holds all 2^n amplitudes
 and takes any gate.  ``BasisState`` holds only the basis indices a state
 occupies and their amplitudes; its kernels (``permute``, ``basis_*``) apply
-the basis permutations the protocol is made of, and reduce with the same
-floating-point order as the dense kernels, so both give the same bits.
+the basis permutations the protocol is made of.
 """
 
 import math
@@ -305,15 +304,10 @@ class GateSpec:
         return full
 
 
-def _other_qubits(num_qubits: int, qubits) -> list:
-    """The qubits not listed, in register order."""
-    return [q for q in range(num_qubits) if q not in qubits]
-
-
 def _qubit_axes(num_qubits: int, qubits, trailing: int) -> list:
     """Axis order of a (2,) * n tensor with ``trailing`` extra axes that puts
     the listed qubits first, in listed order; every other axis keeps its order."""
-    others = _other_qubits(num_qubits, qubits)
+    others = [q for q in range(num_qubits) if q not in qubits]
     return [*qubits, *others, *range(num_qubits, num_qubits + trailing)]
 
 
@@ -436,9 +430,17 @@ def _projected_qubits(state, layout: RegisterLayout, subsystem: str, value: int)
     return qubits
 
 
-def _projection_weight(row: np.ndarray, subsystem: str, value: int) -> float:
-    """The summed squared magnitudes of a projected row, refused when ~0."""
-    weight = float(np.sum(row))
+def _squared_norm(amps: np.ndarray) -> float:
+    """The summed squared magnitudes of a 1-D complex array, exactly rounded:
+    the ``math.fsum`` of its squared real and imaginary parts.  It does not
+    depend on the order of the terms, and zero terms add nothing."""
+    parts = np.concatenate((amps.real, amps.imag))
+    return math.fsum((parts[parts != 0.0] ** 2).tolist())
+
+
+def _projection_weight(amps: np.ndarray, subsystem: str, value: int) -> float:
+    """The squared norm of the amplitudes a projection keeps, refused when ~0."""
+    weight = _squared_norm(amps)
     if weight <= NORM_TOL:
         raise ValueError(
             f"projection of {subsystem!r} onto value {value} has probability ~0"
@@ -478,7 +480,7 @@ def project_onto(state: StateVector, layout: RegisterLayout, subsystem: str, val
     n = state.num_qubits
     # A view of the read-only amplitudes when the qubits already lead.
     block = _qubits_first(state.amplitudes, n, qubits)
-    weight = _projection_weight(np.abs(block[value]) ** 2, subsystem, value)
+    weight = _projection_weight(block[value], subsystem, value)
     projected = np.zeros_like(block)
     projected[value] = block[value] / np.sqrt(weight)
     return StateVector(_qubits_back(projected, n, qubits, state.amplitudes.shape), n)
@@ -497,7 +499,7 @@ def sample_outcome(state: StateVector, layout: RegisterLayout, subsystem: str, r
 
 def _filter_norm(vector: np.ndarray) -> float:
     """The norm that renormalizes a filtered state, refused when ~0."""
-    norm = float(np.linalg.norm(vector))
+    norm = math.sqrt(_squared_norm(vector))
     if norm <= NORM_TOL:
         raise ValueError(
             "degenerate filter: weight 0 with no support on the target's 0 branch"
@@ -518,13 +520,12 @@ def _check_filter_weight(name: str, weight, born=None) -> None:
         raise ValueError(f"{name}: the filter annihilates both branches")
 
 
-# Kernels on a BasisState.  Where a dense kernel's result depends on the order
-# in which it sums, the kernel scatters the few nonzero values into the zero
-# array the dense kernel would reduce, and reduces it the same way.  A Born
-# table needs no scatter: each bin of a table whose values reach a report
-# holds at most one nonzero term, and adding zeros is exact.  (The tables
-# read only against a tolerance, such as blank-register checks, may sum
-# several terms in another order.)
+# Kernels on a BasisState.  A weight or norm is ``_squared_norm`` of the
+# stored amplitudes, as the dense kernels take it of all 2^n: exactly rounded
+# sums ignore zeros and order, so both give the same bits.  A Born table is a
+# ``bincount``: each bin of a table whose values reach a report holds at most
+# one nonzero term.  (The tables read only against a tolerance, such as
+# blank-register checks, may sum several terms in another order.)
 
 
 def _bit_values(indices: np.ndarray, num_qubits: int, qubits) -> np.ndarray:
@@ -570,43 +571,23 @@ def basis_born_probabilities(state: BasisState, layout: RegisterLayout, subsyste
 
 
 def basis_project_onto(state: BasisState, layout: RegisterLayout, subsystem: str, value: int) -> BasisState:
-    """:func:`project_onto` of a basis state.  The weight is summed over the
-    dense row of the other qubits, in :func:`_qubits_first`'s column order."""
+    """:func:`project_onto` of a basis state."""
     qubits = _projected_qubits(state, layout, subsystem, value)
-    n = state.num_qubits
-    others = _other_qubits(n, qubits)
-    selected = _bit_values(state.indices, n, qubits) == value
+    selected = _bit_values(state.indices, state.num_qubits, qubits) == value
     indices, amps = state.indices[selected], state.amplitudes[selected]
-    row = np.zeros(2 ** len(others))
-    row[_bit_values(indices, n, others)] = np.abs(amps) ** 2
-    weight = _projection_weight(row, subsystem, value)
-    return BasisState(indices, amps / np.sqrt(weight), n)
-
-
-def basis_partial_trace(state: BasisState, layout: RegisterLayout, keep) -> DensityMatrix:
-    """:func:`partial_trace` of a basis state, over the same dense (2^k, rest)
-    block."""
-    keep_qubits = _subsystem_qubits(state, layout, keep)
-    n = state.num_qubits
-    others = _other_qubits(n, keep_qubits)
-    block = np.zeros((2 ** len(keep_qubits), 2 ** len(others)), dtype=np.complex128)
-    rows = _bit_values(state.indices, n, keep_qubits)
-    block[rows, _bit_values(state.indices, n, others)] = state.amplitudes
-    return DensityMatrix(_gram(block), len(keep_qubits))
+    weight = _projection_weight(amps, subsystem, value)
+    return BasisState(indices, amps / np.sqrt(weight), state.num_qubits)
 
 
 def basis_filter(state: BasisState, qubit: int, weight: float) -> BasisState:
     """The nonlinear filter ``diag(1, weight)`` on one qubit of a basis state,
-    then global renormalization; weight 1 returns the state itself.  The norm
-    is taken over the dense vector, as ``apply_nonlinear_filter`` takes it."""
+    then global renormalization; weight 1 returns the state itself."""
     if weight == 1.0:
         return state
     n = state.num_qubits
     set_bit = ((state.indices >> (n - 1 - qubit)) & 1) == 1
     filtered = state.amplitudes * np.where(set_bit, weight, 1.0)
-    dense = np.zeros(2**n, dtype=np.complex128)
-    dense[state.indices] = filtered
-    return BasisState(state.indices, filtered / _filter_norm(dense), n)
+    return BasisState(state.indices, filtered / _filter_norm(filtered), n)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -4,6 +4,8 @@ The oracles deliberately use explicit index loops and bit arithmetic so
 they share no code path with the production reshape/transpose kernels.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from realitysteer import (
     clinic_erase,
     conditional_clinic,
     observe,
-    partial_trace,
     prepare_cat,
     project_onto,
     purity,
@@ -28,7 +29,7 @@ from realitysteer import (
     von_neumann_entropy,
 )
 from realitysteer.protocol import RECORD_TOL
-from realitysteer.statevec import NORM_TOL
+from realitysteer.statevec import NORM_TOL, DensityMatrix
 
 
 def assemble_index(num_qubits, groups):
@@ -114,10 +115,42 @@ def brute_kraus_on_last(amplitudes, dim_first, kraus_ops):
     return rho
 
 
+def exact_reduced_state(amplitudes, num_qubits, keep_qubits):
+    """The reduced state of the kept qubits as a full Gram matrix of the dense
+    (kept, rest) block, each entry's real and imaginary part the ``math.fsum``
+    of its products' parts: exactly rounded, so no order or padding shows."""
+    index = np.arange(2**num_qubits)
+
+    def value(qubits):
+        bits = np.zeros_like(index)
+        for qubit in qubits:
+            bits = (bits << 1) | ((index >> (num_qubits - 1 - qubit)) & 1)
+        return bits
+
+    rest = [q for q in range(num_qubits) if q not in keep_qubits]
+    block = np.zeros((2 ** len(keep_qubits), 2 ** len(rest)), dtype=complex)
+    block[value(keep_qubits), value(rest)] = amplitudes
+    block = block[:, (block != 0).any(axis=0)]  # zero columns add nothing
+    re, im = block.real, block.imag
+
+    def fsum(*products):
+        terms = np.concatenate(products)
+        return math.fsum(terms[terms != 0.0].tolist())
+
+    d = len(block)
+    return np.array([
+        [complex(fsum(re[i] * re[j], im[i] * im[j]), fsum(im[i] * re[j], -(re[i] * im[j])))
+         for j in range(d)]
+        for i in range(d)
+    ])
+
+
 def dense_engine_tables(scenario):
     """Every table ``TrialEngine`` builds, by its pipeline run on a dense
     ``StateVector`` through the public stage functions: the bit-for-bit
-    oracle of the engine.  Keys are the engine's attribute names; the
+    oracle of the engine.  The brain state is the full exact Gram matrix of
+    :func:`exact_reduced_state`, so it also checks the engine's premise that
+    the brain state is diagonal.  Keys are the engine's attribute names; the
     ``_ok_*`` columns are lists (1 pinned, 0 not, -1 never evaluated) and
     the patient tables are None when no erased branch has weight."""
     layout = scenario_layout(scenario)
@@ -142,7 +175,10 @@ def dense_engine_tables(scenario):
         state = clinic_erase(state, layout, encoding)
     else:
         state = conditional_clinic(state, layout, structure, scenario.participation, encoding)
-    brain = partial_trace(state, layout, ["B"])
+    brain = DensityMatrix(
+        exact_reduced_state(state.amplitudes, state.num_qubits, layout.qubits("B")),
+        layout.size("B"),
+    )
     if scenario.nonlinear_lambda is not None:
         state = apply_nonlinear_filter(
             state, layout, NonlinearFilter(scenario.nonlinear_lambda, "A")

@@ -6,6 +6,7 @@ import pytest
 from realitysteer import (
     BranchStructure,
     DensityMatrix,
+    KrausChannel,
     Participation,
     RecordEncoding,
     RegisterLayout,
@@ -240,7 +241,8 @@ class TestStackedNoSignalling:
 
 class TestCountArguments:
     """The one count rule, ``statevec._count``, at every library site that
-    takes a count: each refusal is a ValueError that starts with the name."""
+    takes a count, and ``Scenario``'s seed rule: each refusal is a
+    ValueError that starts with the name."""
 
     @pytest.mark.parametrize("call, name", [
         (lambda: check_no_signalling(True), "num_random_channels"),
@@ -258,10 +260,15 @@ class TestCountArguments:
         (lambda: Scenario(env_qubits=True), "env_qubits"),
         (lambda: random_channel(1, 1.5, 0), "num_kraus"),
         (lambda: random_channel(1.0, 1, 0), "arity"),
+        (lambda: KrausChannel((np.eye(2),), 1.0), "arity"),
+        (lambda: KrausChannel((np.eye(2),), True), "arity"),
+        (lambda: Scenario(rng_seed=1.5), "rng_seed"),
+        (lambda: Scenario(rng_seed=True), "rng_seed"),
     ], ids=[
         "channels_bool", "channels_float", "cats_float", "cats_bool", "trials_float",
         "trials_bool", "ensemble_float", "ensemble_bool", "encodings_float", "alive_float",
         "dead_bool", "env_float", "env_bool", "kraus_float", "arity_float",
+        "kraus_arity_float", "kraus_arity_bool", "seed_float", "seed_bool",
     ])
     def test_refuses_a_non_integer(self, call, name):
         with pytest.raises(ValueError, match=f"{name}: must be an integer"):
@@ -280,9 +287,10 @@ class TestCountArguments:
         (lambda: Scenario(env_qubits=0), "env_qubits", 1),
         (lambda: random_channel(1, 0, 0), "num_kraus", 1),
         (lambda: random_channel(0, 1, 0), "arity", 1),
+        (lambda: KrausChannel((np.eye(1),), 0), "arity", 1),
     ], ids=[
         "cats", "channels", "trials", "ensemble", "batch_negative", "batch_empty",
-        "batch_first", "encodings", "alive", "env", "kraus", "arity",
+        "batch_first", "encodings", "alive", "env", "kraus", "arity", "kraus_arity",
     ])
     def test_refuses_a_count_below_its_minimum(self, call, name, minimum):
         with pytest.raises(ValueError, match=f"{name}: must be an integer >= {minimum}, got "):
@@ -299,6 +307,12 @@ class TestCountArguments:
         assert len(TrialEngine(scenario).run_batch(0, np.uint8(0), np.int16(2))) == 2
         assert len(decoupling_sweep(4, [1], np.int64(2), 0)[1]) == 2
         assert random_channel(np.int64(2), np.int32(3), 0).arity == 2
+        assert type(KrausChannel((np.eye(2),), np.int64(1)).arity) is int
+
+    def test_seeds_of_any_sign_reduce_mod_2_64(self):
+        seeded = Scenario(rng_seed=np.int64(-77))
+        assert type(seeded.rng_seed) is int and seeded.rng_seed == -77
+        assert run_ensemble(seeded, 5) == run_ensemble(Scenario(rng_seed=2**64 - 77), 5)
 
 
 class TestIndistinguishability:
