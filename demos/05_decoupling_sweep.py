@@ -6,7 +6,7 @@ by a random unitary instead, the inaccessible remainder decouples once you
 control roughly half of the carriers: its state becomes nearly independent
 of the branch, and recovery from the accessible part becomes possible.
 
-Run with:  python demos/05_decoupling_sweep.py   (about 10 seconds)
+Run with:  python demos/05_decoupling_sweep.py   (under a second)
 """
 
 import numpy as np

@@ -78,7 +78,7 @@ from .statevec import (
 )
 
 MAX_QUBITS = 22
-MAX_RECORD_QUBITS = 12  # the decoupling diagnostic's dense 2^n x 2^n Haar unitary
+MAX_RECORD_QUBITS = 12  # the decoupling diagnostic's dense 2^n x 2^n Ginibre draw
 # Recovery counts as feasible when the inaccessible remainder is closer to
 # branch-independent than branch-revealing; the midpoint criterion puts the
 # feasibility transition at the half-access point for Haar-scrambled records.
@@ -713,10 +713,17 @@ class DecouplingResult:
     feasible: bool
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """QR of a Ginibre matrix with the phase convention that makes Q Haar."""
-    ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(ginibre / np.sqrt(2.0))
+def _haar_unitary(dim: int, rng: np.random.Generator, width: int) -> np.ndarray:
+    """The first ``width`` columns of the QR of a seeded Ginibre matrix, with
+    the phase convention that makes the full Q Haar.
+
+    The whole ``dim x dim`` matrix is drawn (real part, then imaginary part),
+    so the seed stream does not depend on ``width``.  Column j of a
+    Householder QR depends only on the first j+1 columns (Mezzadri,
+    arXiv:math-ph/0609050), so the QR runs on those ``width`` columns only."""
+    real = rng.standard_normal((dim, dim))
+    imag = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr((real[:, :width] + 1j * imag[:, :width]) / np.sqrt(2.0))
     diagonal = np.diag(r)
     return q * (diagonal / np.abs(diagonal))
 
@@ -725,33 +732,76 @@ def _haar_encodings(num_record_qubits: int, rng) -> tuple:
     """Branches 0 and 1 encoded by a seeded Haar-random unitary: its columns
     for inputs |0> and |1> on the leading qubit, the others blank."""
     dim = 2**num_record_qubits
-    unitary = _haar_unitary(dim, as_generator(rng))
-    return unitary[:, 0], unitary[:, dim // 2]
+    columns = _haar_unitary(dim, as_generator(rng), dim // 2 + 1)
+    return columns[:, 0], columns[:, dim // 2]
 
 
-def _check_record_split(num_record_qubits: int, accessible_values=()) -> None:
+def _check_record_split(num_record_qubits, accessible_values=()) -> int:
     """The decoupling rule: a record of 1..MAX_RECORD_QUBITS qubits, of which
-    0..num_record_qubits are accessible.  Messages start with the field."""
-    if not 1 <= num_record_qubits <= MAX_RECORD_QUBITS:
+    0..num_record_qubits are accessible.  Integral floats are accepted as
+    access levels, as the CLI's sweep values are; bools are not.  Returns the
+    record size as an ``int``.  Messages start with the field."""
+    num_record_qubits = _count("num_record_qubits", num_record_qubits, 1)
+    if num_record_qubits > MAX_RECORD_QUBITS:
         raise ValueError(f"num_record_qubits: must be in 1..{MAX_RECORD_QUBITS}")
-    if any(k not in range(num_record_qubits + 1) for k in accessible_values):
+    if any(isinstance(k, (bool, np.bool_)) or k not in range(num_record_qubits + 1)
+           for k in accessible_values):
         raise ValueError(f"accessible: out of range, must be integers in 0..{num_record_qubits}")
+    return num_record_qubits
 
 
-def _decoupling_metrics(encoded_zero: np.ndarray, encoded_one: np.ndarray,
-                        num_record_qubits: int, accessible: int) -> DecouplingResult:
-    if accessible == num_record_qubits:
-        return DecouplingResult(0.0, 0.0, True)
+def _schmidt_metrics(zero: StateVector, one: StateVector, accessible: int) -> tuple:
+    """Leaked bits and trace distance of the hidden states, read off the
+    accessible side.  With M_b the ``(2^k, 2^h)`` block of branch b and
+    V = [M0; M1], the hidden states have the nonzero spectra of the blocks of
+    G = V V^dagger, their average that of G/2, and their difference that of
+    G^(1/2) J G^(1/2) with J = diag(I, -I) (Page, arXiv:gr-qc/9305007)."""
+    d_a = 2**accessible
+    stacked = np.concatenate([state.amplitudes.reshape(d_a, -1) for state in (zero, one)])
+    gram = stacked @ stacked.conj().T
+    averaged = DensityMatrix(gram / 2.0, accessible + 1)
+    branch_entropy = 0.0  # at k = 0 both branch states are pure
+    if accessible:
+        branch_entropy = sum(
+            von_neumann_entropy(DensityMatrix(gram[rows, rows], accessible))
+            for rows in (slice(None, d_a), slice(d_a, None))
+        )
+    eigenvalues, vectors = np.linalg.eigh(averaged.entries)
+    root = (vectors * np.sqrt(np.where(eigenvalues < 0.0, 0.0, eigenvalues))) @ vectors.conj().T
+    signs = np.repeat([1.0, -1.0], d_a)
+    # Half the trace norm of G^(1/2) J G^(1/2) is the trace norm of (G/2)^(1/2) J (G/2)^(1/2).
+    distance = min(1.0, float(np.sum(np.abs(np.linalg.eigvalsh((root * signs) @ root)))))
+    return von_neumann_entropy(averaged) - 0.5 * branch_entropy, distance
+
+
+def _hidden_metrics(zero: StateVector, one: StateVector, accessible: int) -> tuple:
+    """Leaked bits and trace distance from the hidden side's density matrices."""
+    num_record_qubits = zero.num_qubits
     hidden = num_record_qubits - accessible
     parts = (("accessible", accessible), ("hidden", hidden))
     layout = RegisterLayout.from_sizes([(name, size) for name, size in parts if size])
-    rho_zero = partial_trace(StateVector(encoded_zero, num_record_qubits), layout, "hidden")
-    rho_one = partial_trace(StateVector(encoded_one, num_record_qubits), layout, "hidden")
-    distance = trace_distance(rho_zero, rho_one)
+    rho_zero = partial_trace(zero, layout, "hidden")
+    rho_one = partial_trace(one, layout, "hidden")
     averaged = DensityMatrix((rho_zero.entries + rho_one.entries) / 2.0, hidden)
     leaked = von_neumann_entropy(averaged) - 0.5 * (
         von_neumann_entropy(rho_zero) + von_neumann_entropy(rho_one)
     )
+    return leaked, trace_distance(rho_zero, rho_one)
+
+
+def _decoupling_metrics(encoded_zero: np.ndarray, encoded_one: np.ndarray,
+                        num_record_qubits: int, accessible: int) -> DecouplingResult:
+    """Each metric is taken on the smaller side of the cut: the two hidden
+    states have rank <= 2^k, so while 2^(k+1) < 2^h their spectra come from
+    the accessible side's Gram matrix, and otherwise from the hidden side."""
+    if accessible == num_record_qubits:
+        return DecouplingResult(0.0, 0.0, True)
+    zero = StateVector(encoded_zero, num_record_qubits)
+    one = StateVector(encoded_one, num_record_qubits)
+    if accessible + 1 < num_record_qubits - accessible:
+        leaked, distance = _schmidt_metrics(zero, one, accessible)
+    else:
+        leaked, distance = _hidden_metrics(zero, one, accessible)
     return DecouplingResult(
         leaked_bits=float(leaked),
         conditional_trace_distance=float(distance),
@@ -771,7 +821,7 @@ def decoupling_diagnostic(num_record_qubits: int, accessible: int, rng) -> Decou
     coherence from the accessible part is feasible when that conditional
     trace distance falls below ``DECOUPLING_FEASIBLE_THRESHOLD``.
     """
-    _check_record_split(num_record_qubits, [accessible])
+    num_record_qubits = _check_record_split(num_record_qubits, [accessible])
     encoded = _haar_encodings(num_record_qubits, rng)
     return _decoupling_metrics(*encoded, num_record_qubits, int(accessible))
 
@@ -786,7 +836,7 @@ def decoupling_sweep(num_record_qubits: int, accessible_values, num_encodings: i
     """
     num_encodings = _count("num_encodings", num_encodings, 1)
     values = list(accessible_values)
-    _check_record_split(num_record_qubits, values)
+    num_record_qubits = _check_record_split(num_record_qubits, values)
     results = {int(k): [] for k in values}
     for encoding_index in range(num_encodings):
         encoded = _haar_encodings(num_record_qubits, derive_seed(rng_seed, encoding_index))

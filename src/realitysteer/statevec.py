@@ -607,4 +607,5 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     if rho1.num_qubits != rho2.num_qubits:
         raise ValueError("trace_distance requires equal dimensions")
     eigenvalues = np.linalg.eigvalsh(rho1.entries - rho2.entries)
-    return float(0.5 * np.sum(np.abs(eigenvalues)))
+    # Orthogonal states round to up to ~2e-14 above 1.
+    return min(1.0, float(0.5 * np.sum(np.abs(eigenvalues))))

@@ -19,6 +19,7 @@ from realitysteer import (
     clinic_erase,
     conditional_clinic,
     observe,
+    partial_trace,
     prepare_cat,
     project_onto,
     purity,
@@ -26,10 +27,11 @@ from realitysteer import (
     rewrite_record,
     scenario_layout,
     spread_to_environment,
+    trace_distance,
     von_neumann_entropy,
 )
-from realitysteer.protocol import RECORD_TOL
-from realitysteer.statevec import NORM_TOL, DensityMatrix
+from realitysteer.protocol import DECOUPLING_FEASIBLE_THRESHOLD, RECORD_TOL, DecouplingResult
+from realitysteer.statevec import NORM_TOL, DensityMatrix, RegisterLayout, StateVector
 
 
 def assemble_index(num_qubits, groups):
@@ -209,6 +211,36 @@ def dense_engine_tables(scenario):
         "cat_after_patient": cat_after_patient,
         "_ok_patient": ok_patient,
     }
+
+
+def haar_unitary(dim, rng):
+    """The whole Haar-random unitary: a full QR of the ``dim x dim`` Ginibre
+    matrix, with the phase convention that makes Q Haar.  The program's
+    encodings are two of its columns, from a QR of the leading columns only."""
+    ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(ginibre / np.sqrt(2.0))
+    diagonal = np.diag(r)
+    return q * (diagonal / np.abs(diagonal))
+
+
+def dense_decoupling_metrics(encoded_zero, encoded_one, num_record_qubits, accessible):
+    """The decoupling metrics from the hidden side's full density matrices
+    at every split, however large the hidden side is."""
+    if accessible == num_record_qubits:
+        return DecouplingResult(0.0, 0.0, True)
+    hidden = num_record_qubits - accessible
+    parts = (("accessible", accessible), ("hidden", hidden))
+    layout = RegisterLayout.from_sizes([(name, size) for name, size in parts if size])
+    rho_zero, rho_one = (
+        partial_trace(StateVector(encoded, num_record_qubits), layout, "hidden")
+        for encoded in (encoded_zero, encoded_one)
+    )
+    distance = trace_distance(rho_zero, rho_one)
+    averaged = DensityMatrix((rho_zero.entries + rho_one.entries) / 2.0, hidden)
+    leaked = von_neumann_entropy(averaged) - 0.5 * (
+        von_neumann_entropy(rho_zero) + von_neumann_entropy(rho_one)
+    )
+    return DecouplingResult(leaked, distance, distance < DECOUPLING_FEASIBLE_THRESHOLD)
 
 
 @pytest.fixture

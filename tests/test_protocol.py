@@ -33,7 +33,8 @@ from realitysteer import (
     von_neumann_entropy,
 )
 from realitysteer.protocol import _haar_encodings
-from conftest import brute_partial_trace
+from realitysteer.seeding import as_generator
+from conftest import brute_partial_trace, dense_decoupling_metrics, haar_unitary
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -604,3 +605,35 @@ def test_haar_encodings_meet_their_second_moments():
             for name, values in samples.items():
                 sigma = values.std(ddof=1) / np.sqrt(len(values))
                 assert abs(values.mean() - expected[name]) < 4 * sigma, (k, name)
+
+
+ORACLE_SEED = 1  # derive_seed(1, 0) rounds the dense k = 0 trace distance above 1
+ORACLE_ENCODINGS = 3
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_decoupling_matches_the_full_qr_and_dense_metrics(n):
+    """Every row of a sweep over all splits against the brute-force path: the
+    encodings as columns 0 and d/2 of the full Haar QR, and every metric from
+    the hidden side's full density matrices."""
+    dim = 2**n
+    table = decoupling_sweep(n, range(n + 1), ORACLE_ENCODINGS, ORACLE_SEED)
+    for j in range(ORACLE_ENCODINGS):
+        seed = derive_seed(ORACLE_SEED, j)
+        unitary = haar_unitary(dim, as_generator(seed))
+        columns = unitary[:, 0], unitary[:, dim // 2]
+        for column, encoded in zip(columns, _haar_encodings(n, seed)):
+            assert np.max(np.abs(encoded - column)) < 1e-14
+        for k in range(n + 1):
+            result, expected = table[k][j], dense_decoupling_metrics(*columns, n, k)
+            assert abs(result.leaked_bits - expected.leaked_bits) < 1e-12, (j, k)
+            assert abs(result.conditional_trace_distance
+                       - expected.conditional_trace_distance) < 1e-12, (j, k)
+            assert result.feasible == expected.feasible, (j, k)
+            assert 0.0 <= expected.conditional_trace_distance <= 1.0, (j, k)
+
+
+def test_no_access_trace_distance_is_at_most_one():
+    # Orthogonal branch states: encodings 0 and 3 round to just above 1.
+    for row in decoupling_sweep(10, [0], 4, ORACLE_SEED)[0]:
+        assert 1.0 - 1e-12 < row.conditional_trace_distance <= 1.0

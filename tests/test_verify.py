@@ -23,6 +23,7 @@ from realitysteer import (
     check_no_signalling,
     check_nonlinear_witness,
     clinic_erase,
+    decoupling_diagnostic,
     decoupling_sweep,
     expected_post_probabilities,
     observe,
@@ -264,11 +265,14 @@ class TestCountArguments:
         (lambda: KrausChannel((np.eye(2),), True), "arity"),
         (lambda: Scenario(rng_seed=1.5), "rng_seed"),
         (lambda: Scenario(rng_seed=True), "rng_seed"),
+        (lambda: decoupling_sweep(True, [True], 1, 0), "num_record_qubits"),
+        (lambda: decoupling_diagnostic(2.0, 1, 0), "num_record_qubits"),
     ], ids=[
         "channels_bool", "channels_float", "cats_float", "cats_bool", "trials_float",
         "trials_bool", "ensemble_float", "ensemble_bool", "encodings_float", "alive_float",
         "dead_bool", "env_float", "env_bool", "kraus_float", "arity_float",
         "kraus_arity_float", "kraus_arity_bool", "seed_float", "seed_bool",
+        "record_bool", "record_float",
     ])
     def test_refuses_a_non_integer(self, call, name):
         with pytest.raises(ValueError, match=f"{name}: must be an integer"):
@@ -296,6 +300,17 @@ class TestCountArguments:
         with pytest.raises(ValueError, match=f"{name}: must be an integer >= {minimum}, got "):
             call()
 
+    # Access levels take integral floats, as the CLI's sweep values are,
+    # but not bools.
+    @pytest.mark.parametrize("call", [
+        lambda: decoupling_diagnostic(4, True, 0),
+        lambda: decoupling_sweep(4, [False], 1, 0),
+        lambda: decoupling_sweep(4, [2, np.True_], 1, 0),
+    ], ids=["diagnostic_bool", "sweep_bool", "sweep_numpy_bool"])
+    def test_refuses_a_bool_access_level(self, call):
+        with pytest.raises(ValueError, match="^accessible: "):
+            call()
+
     def test_accepts_numpy_integers(self):
         verdict = check_no_signalling(np.int64(3))
         assert verdict.passed
@@ -306,6 +321,7 @@ class TestCountArguments:
         assert len(run_ensemble(scenario, np.int64(3), first_trial=np.int32(1))) == 3
         assert len(TrialEngine(scenario).run_batch(0, np.uint8(0), np.int16(2))) == 2
         assert len(decoupling_sweep(4, [1], np.int64(2), 0)[1]) == 2
+        assert decoupling_diagnostic(np.int64(4), np.int32(1), 0) == decoupling_diagnostic(4, 1, 0)
         assert random_channel(np.int64(2), np.int32(3), 0).arity == 2
         assert type(KrausChannel((np.eye(2),), np.int64(1)).arity) is int
 
