@@ -386,8 +386,8 @@ class TestReportBytes:
         ),
         "accessible_k": (
             ACCESSIBLE_K_SWEEP,
-            "b904073f0b2b3664b49a11992f93a855bba31901062b1ec711d0c3870fb9e8f2",
-            "8d80518b9b8fd2831ece5688953af36dbf5896f397803dbaa89da27bb050ef62",
+            "8f858c2e6830140169d206166e8a26fbc9a1fc53b5456b3fd257120ff8fbffcb",
+            "df9521ccc3133c55430d7bdae6b2a4fb268f71a4df92786154573e394179e3fe",
         ),
     }
 
