@@ -68,7 +68,6 @@ from .statevec import (
     basis_index,
     basis_project_onto,
     born_probabilities,
-    partial_trace,
     permute,
     project_onto,
     purity,
@@ -750,58 +749,27 @@ def _check_record_split(num_record_qubits, accessible_values=()) -> int:
     return num_record_qubits
 
 
-def _schmidt_metrics(zero: StateVector, one: StateVector, accessible: int) -> tuple:
-    """Leaked bits and trace distance of the hidden states, read off the
-    accessible side.  With M_b the ``(2^k, 2^h)`` block of branch b and
-    V = [M0; M1], the hidden states have the nonzero spectra of the blocks of
-    G = V V^dagger, their average that of G/2, and their difference that of
-    G^(1/2) J G^(1/2) with J = diag(I, -I) (Page, arXiv:gr-qc/9305007)."""
-    d_a = 2**accessible
-    stacked = np.concatenate([state.amplitudes.reshape(d_a, -1) for state in (zero, one)])
-    gram = stacked @ stacked.conj().T
-    averaged = DensityMatrix(gram / 2.0, accessible + 1)
-    branch_entropy = 0.0  # at k = 0 both branch states are pure
-    if accessible:
-        branch_entropy = sum(
-            von_neumann_entropy(DensityMatrix(gram[rows, rows], accessible))
-            for rows in (slice(None, d_a), slice(d_a, None))
-        )
-    eigenvalues, vectors = np.linalg.eigh(averaged.entries)
-    root = (vectors * np.sqrt(np.where(eigenvalues < 0.0, 0.0, eigenvalues))) @ vectors.conj().T
-    signs = np.repeat([1.0, -1.0], d_a)
-    # Half the trace norm of G^(1/2) J G^(1/2) is the trace norm of (G/2)^(1/2) J (G/2)^(1/2).
-    distance = min(1.0, float(np.sum(np.abs(np.linalg.eigvalsh((root * signs) @ root)))))
-    return von_neumann_entropy(averaged) - 0.5 * branch_entropy, distance
-
-
-def _hidden_metrics(zero: StateVector, one: StateVector, accessible: int) -> tuple:
-    """Leaked bits and trace distance from the hidden side's density matrices."""
-    num_record_qubits = zero.num_qubits
-    hidden = num_record_qubits - accessible
-    parts = (("accessible", accessible), ("hidden", hidden))
-    layout = RegisterLayout.from_sizes([(name, size) for name, size in parts if size])
-    rho_zero = partial_trace(zero, layout, "hidden")
-    rho_one = partial_trace(one, layout, "hidden")
-    averaged = DensityMatrix((rho_zero.entries + rho_one.entries) / 2.0, hidden)
-    leaked = von_neumann_entropy(averaged) - 0.5 * (
-        von_neumann_entropy(rho_zero) + von_neumann_entropy(rho_one)
-    )
-    return leaked, trace_distance(rho_zero, rho_one)
-
-
 def _decoupling_metrics(encoded_zero: np.ndarray, encoded_one: np.ndarray,
                         num_record_qubits: int, accessible: int) -> DecouplingResult:
-    """Each metric is taken on the smaller side of the cut: the two hidden
-    states have rank <= 2^k, so while 2^(k+1) < 2^h their spectra come from
-    the accessible side's Gram matrix, and otherwise from the hidden side."""
+    """Leaked bits and trace distance of the two hidden states, on the
+    smaller side of the cut.  With M_b the ``(2^k, 2^h)`` block of branch b
+    and [M0; M1]^dagger = Q [R0 R1] a thin QR, the conjugate of branch b's
+    hidden state is Q R_b R_b^dagger Q^dagger, so it has the nonzero spectrum
+    of R_b R_b^dagger, and their average that of R R^dagger / 2; each has side
+    min(2^(k+1), 2^h) (Page, arXiv:gr-qc/9305007)."""
     if accessible == num_record_qubits:
         return DecouplingResult(0.0, 0.0, True)
-    zero = StateVector(encoded_zero, num_record_qubits)
-    one = StateVector(encoded_one, num_record_qubits)
-    if accessible + 1 < num_record_qubits - accessible:
-        leaked, distance = _schmidt_metrics(zero, one, accessible)
-    else:
-        leaked, distance = _hidden_metrics(zero, one, accessible)
+    d_a = 2**accessible
+    blocks = [StateVector(encoded, num_record_qubits).amplitudes.reshape(d_a, -1)
+              for encoded in (encoded_zero, encoded_one)]
+    r = np.linalg.qr(np.concatenate(blocks).conj().T, mode="r")
+    side = r.shape[0].bit_length() - 1
+    rho_zero, rho_one = (DensityMatrix(part @ part.conj().T, side)
+                         for part in (r[:, :d_a], r[:, d_a:]))
+    leaked = von_neumann_entropy(DensityMatrix(r @ r.conj().T / 2.0, side)) - 0.5 * (
+        von_neumann_entropy(rho_zero) + von_neumann_entropy(rho_one)
+    )
+    distance = trace_distance(rho_zero, rho_one)
     return DecouplingResult(
         leaked_bits=float(leaked),
         conditional_trace_distance=float(distance),

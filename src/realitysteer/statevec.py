@@ -100,8 +100,7 @@ class RegisterLayout:
         subsystems = []
         next_qubit = 0
         for name, width in sizes:
-            if width < 1:
-                raise ValueError(f"subsystem {name!r} needs at least one qubit")
+            width = _count("sizes", width, 1)
             subsystems.append((str(name), tuple(range(next_qubit, next_qubit + width))))
             next_qubit += width
         return cls(subsystems=tuple(subsystems), total_qubits=next_qubit)
@@ -238,11 +237,9 @@ class GateSpec:
     matrix: "np.ndarray | None" = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", tuple(_count("targets", t, 0) for t in self.targets))
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("gate targets must be distinct")
-        if any(t < 0 for t in self.targets):
-            raise ValueError("gate targets must be non-negative")
         if self.kind in _FIXED_GATES:
             arity = _FIXED_GATES[self.kind].shape[0].bit_length() - 1
             if len(self.targets) != arity:
@@ -363,7 +360,8 @@ def basis_index(layout: RegisterLayout, values) -> int:
                     f"label for {name!r} has length {len(value)}, expected {len(qubits)}"
                 )
             value = int(value, 2)
-        value = int(value)
+        else:
+            value = _count("values", value, 0)
         if not 0 <= value < 2 ** len(qubits):
             raise ValueError(f"value {value} out of range for subsystem {name!r}")
         for position, qubit in enumerate(qubits):

@@ -32,7 +32,7 @@ from realitysteer import (
     spread_to_environment,
     von_neumann_entropy,
 )
-from realitysteer.protocol import _haar_encodings
+from realitysteer.protocol import _decoupling_metrics, _haar_encodings
 from realitysteer.seeding import as_generator
 from conftest import brute_partial_trace, dense_decoupling_metrics, haar_unitary
 
@@ -637,3 +637,27 @@ def test_no_access_trace_distance_is_at_most_one():
     # Orthogonal branch states: encodings 0 and 3 round to just above 1.
     for row in decoupling_sweep(10, [0], 4, ORACLE_SEED)[0]:
         assert 1.0 - 1e-12 < row.conditional_trace_distance <= 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_decoupling_structured_encodings_match_the_dense_oracle(n):
+    """Rank-deficient branch pairs, whose hidden states have near-zero
+    eigenvalues: a square root of their spectrum would lose half the digits."""
+    dim = 2**n
+    basis = np.eye(dim)
+    uniform = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+    pairs = {
+        "leading": (basis[0], basis[dim // 2]),
+        "last": (basis[0], basis[1]),
+        "ghz": (basis[0], basis[dim - 1]),
+        "phased": (uniform, uniform * np.where(np.arange(dim) % 2, 1j, 1.0)),
+        "identical": (uniform, uniform.copy()),
+    }
+    for name, pair in pairs.items():
+        for k in range(n + 1):
+            result = _decoupling_metrics(*pair, n, k)
+            expected = dense_decoupling_metrics(*pair, n, k)
+            assert abs(result.leaked_bits - expected.leaked_bits) < 1e-12, (name, k)
+            assert abs(result.conditional_trace_distance
+                       - expected.conditional_trace_distance) < 1e-12, (name, k)
+            assert result.feasible == expected.feasible, (name, k)

@@ -6,6 +6,7 @@ import pytest
 from realitysteer import (
     BranchStructure,
     DensityMatrix,
+    GateSpec,
     KrausChannel,
     Participation,
     RecordEncoding,
@@ -242,8 +243,8 @@ class TestStackedNoSignalling:
 
 class TestCountArguments:
     """The one count rule, ``statevec._count``, at every library site that
-    takes a count, and ``Scenario``'s seed rule: each refusal is a
-    ValueError that starts with the name."""
+    takes a count or a qubit index, size or value, and ``Scenario``'s seed
+    rule: each refusal is a ValueError that starts with the name."""
 
     @pytest.mark.parametrize("call, name", [
         (lambda: check_no_signalling(True), "num_random_channels"),
@@ -267,12 +268,19 @@ class TestCountArguments:
         (lambda: Scenario(rng_seed=True), "rng_seed"),
         (lambda: decoupling_sweep(True, [True], 1, 0), "num_record_qubits"),
         (lambda: decoupling_diagnostic(2.0, 1, 0), "num_record_qubits"),
+        (lambda: GateSpec.x(True), "targets"),
+        (lambda: GateSpec.x(1.0), "targets"),
+        (lambda: RegisterLayout.from_sizes([("C", True)]), "sizes"),
+        (lambda: RegisterLayout.from_sizes([("C", 1.5)]), "sizes"),
+        (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": 1.0}), "values"),
+        (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": 1.5}), "values"),
     ], ids=[
         "channels_bool", "channels_float", "cats_float", "cats_bool", "trials_float",
         "trials_bool", "ensemble_float", "ensemble_bool", "encodings_float", "alive_float",
         "dead_bool", "env_float", "env_bool", "kraus_float", "arity_float",
         "kraus_arity_float", "kraus_arity_bool", "seed_float", "seed_bool",
-        "record_bool", "record_float",
+        "record_bool", "record_float", "target_bool", "target_float", "size_bool",
+        "size_float", "value_integral_float", "value_float",
     ])
     def test_refuses_a_non_integer(self, call, name):
         with pytest.raises(ValueError, match=f"{name}: must be an integer"):
@@ -292,9 +300,13 @@ class TestCountArguments:
         (lambda: random_channel(1, 0, 0), "num_kraus", 1),
         (lambda: random_channel(0, 1, 0), "arity", 1),
         (lambda: KrausChannel((np.eye(1),), 0), "arity", 1),
+        (lambda: GateSpec.cnot(0, -1), "targets", 0),
+        (lambda: RegisterLayout.from_sizes([("C", 1), ("B", 0)]), "sizes", 1),
+        (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": -1}), "values", 0),
     ], ids=[
         "cats", "channels", "trials", "ensemble", "batch_negative", "batch_empty",
         "batch_first", "encodings", "alive", "env", "kraus", "arity", "kraus_arity",
+        "target", "size", "value",
     ])
     def test_refuses_a_count_below_its_minimum(self, call, name, minimum):
         with pytest.raises(ValueError, match=f"{name}: must be an integer >= {minimum}, got "):
@@ -324,6 +336,10 @@ class TestCountArguments:
         assert decoupling_diagnostic(np.int64(4), np.int32(1), 0) == decoupling_diagnostic(4, 1, 0)
         assert random_channel(np.int64(2), np.int32(3), 0).arity == 2
         assert type(KrausChannel((np.eye(2),), np.int64(1)).arity) is int
+        assert GateSpec.x(np.int64(1)).targets == (1,)
+        layout = RegisterLayout.from_sizes([("C", np.int32(2))])
+        assert layout.total_qubits == 2
+        assert basis_index(layout, {"C": np.uint8(2)}) == basis_index(layout, {"C": "10"}) == 2
 
     def test_seeds_of_any_sign_reduce_mod_2_64(self):
         seeded = Scenario(rng_seed=np.int64(-77))
