@@ -386,8 +386,8 @@ class TestReportBytes:
         ),
         "accessible_k": (
             ACCESSIBLE_K_SWEEP,
-            "8f858c2e6830140169d206166e8a26fbc9a1fc53b5456b3fd257120ff8fbffcb",
-            "df9521ccc3133c55430d7bdae6b2a4fb268f71a4df92786154573e394179e3fe",
+            "36ea7f84460302cea53fda6f1c0cb9113d68a129ccd9b0848130480ef7350b30",
+            "c568432fe24a65508f07bffe0b29a9a5b9c6218f698e52dbda5a08d78858def7",
         ),
     }
 
