@@ -770,11 +770,7 @@ def _decoupling_metrics(encoded_zero: np.ndarray, encoded_one: np.ndarray,
         von_neumann_entropy(rho_zero) + von_neumann_entropy(rho_one)
     )
     distance = trace_distance(rho_zero, rho_one)
-    return DecouplingResult(
-        leaked_bits=float(leaked),
-        conditional_trace_distance=float(distance),
-        feasible=distance < DECOUPLING_FEASIBLE_THRESHOLD,
-    )
+    return DecouplingResult(leaked, distance, distance < DECOUPLING_FEASIBLE_THRESHOLD)
 
 
 def decoupling_diagnostic(num_record_qubits: int, accessible: int, rng) -> DecouplingResult:
