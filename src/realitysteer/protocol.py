@@ -42,6 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .seeding import (
+    _seed,
     as_generator,
     clamped_cdf,
     derive_seed,
@@ -191,10 +192,7 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # Any integer seed, of any sign: the seeding reduces it mod 2^64.
-        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer)):
-            raise ValueError(f"rng_seed: must be an integer, got {self.rng_seed!r}")
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        object.__setattr__(self, "rng_seed", _seed("rng_seed", self.rng_seed))
         object.__setattr__(self, "env_qubits", _count("env_qubits", self.env_qubits, 1))
         # Each copy takes at least one qubit: refuse before laying them out.
         if self.env_qubits > MAX_QUBITS:
@@ -273,21 +271,15 @@ class _Stage(NamedTuple):
     gates: list
 
 
-def _check_blank(stage: _Stage, born) -> None:
-    """Refuse the stage unless each register it needs blank reads 0 with
-    probability 1, within ``NORM_TOL``.  ``born(name)`` is that register's
-    Born table: one state's, or a ``(2^k, d)`` table of d states at once."""
-    for name in stage.blank:
-        if np.any(np.abs(born(name)[0] - 1.0) > NORM_TOL):
-            raise ValueError(f"{stage.name}: register {name!r} is not blank")
-
-
 def _apply_stage(state, layout: RegisterLayout, stage: _Stage):
-    """Check the stage's blank registers, then apply its gates: gate by gate
+    """Refuse the stage unless each register it needs blank reads 0 with
+    probability 1, within ``NORM_TOL``; then apply its gates: gate by gate
     to a ``StateVector``, as one relabelling to a ``BasisState``."""
     dense = isinstance(state, StateVector)
     born = born_probabilities if dense else basis_born_probabilities
-    _check_blank(stage, lambda name: born(state, layout, name))
+    for name in stage.blank:
+        if abs(born(state, layout, name)[0] - 1.0) > NORM_TOL:
+            raise ValueError(f"{stage.name}: register {name!r} is not blank")
     if not dense:
         return permute(state, stage.gates)
     for gate in stage.gates:

@@ -39,16 +39,26 @@ _MIX_MULT_R = 0x4973F715
 _PCG_MULT = (2549297995355413924, 4865540595714422341)
 
 
+def _seed(name: str, value) -> int:
+    """A seed argument as an ``int``: any integer, numpy integers included but
+    not a bool, of any sign; the seeding reduces it mod 2**64.  The message
+    starts with ``name``."""
+    # bool cannot be subclassed, so one isinstance call covers the rule.
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_generator(rng: "int | np.random.Generator") -> np.random.Generator:
     """Coerce an integer seed (any 64-bit value, signed ok) or Generator."""
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(int(rng) & _MASK64)
+    return np.random.default_rng(_seed("rng", rng) & _MASK64)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
     """SplitMix64 mix of (base_seed, index); stable across platforms."""
-    z = (int(base_seed) + (index + 1) * GOLDEN_GAMMA) & _MASK64
+    z = (_seed("base_seed", base_seed) + (index + 1) * GOLDEN_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -58,7 +68,7 @@ def derive_seeds(base_seed: int, first: int, count: int) -> np.ndarray:
     """``derive_seed(base_seed, i)`` for ``i`` in ``first..first+count-1``,
     as uint64.  Array arithmetic wraps mod 2**64, as the scalar masks do."""
     z = np.arange(count, dtype=np.uint64) + np.uint64((first + 1) & _MASK64)
-    z = z * np.uint64(GOLDEN_GAMMA) + np.uint64(int(base_seed) & _MASK64)
+    z = z * np.uint64(GOLDEN_GAMMA) + np.uint64(_seed("base_seed", base_seed) & _MASK64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))

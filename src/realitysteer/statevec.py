@@ -420,12 +420,14 @@ def _checked_table(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _projected_qubits(state, layout: RegisterLayout, subsystem: str, value: int) -> list:
-    """The subsystem's qubits, once ``value`` is known to be one of its values."""
+def _projected_qubits(state, layout: RegisterLayout, subsystem: str, value) -> tuple:
+    """The subsystem's qubits and ``value`` as an ``int``, once it is known to
+    be one of the subsystem's values."""
     qubits = _subsystem_qubits(state, layout, subsystem)
-    if not 0 <= value < 2 ** len(qubits):
+    value = _count("value", value, 0)
+    if value >= 2 ** len(qubits):
         raise ValueError(f"value {value} out of range for subsystem {subsystem!r}")
-    return qubits
+    return qubits, value
 
 
 def _squared_norm(amps: np.ndarray) -> float:
@@ -474,7 +476,7 @@ def born_probabilities(state: StateVector, layout: RegisterLayout, subsystem: st
 
 def project_onto(state: StateVector, layout: RegisterLayout, subsystem: str, value: int) -> StateVector:
     """Project onto ``subsystem == value`` and renormalize."""
-    qubits = _projected_qubits(state, layout, subsystem, value)
+    qubits, value = _projected_qubits(state, layout, subsystem, value)
     n = state.num_qubits
     # A view of the read-only amplitudes when the qubits already lead.
     block = _qubits_first(state.amplitudes, n, qubits)
@@ -570,7 +572,7 @@ def basis_born_probabilities(state: BasisState, layout: RegisterLayout, subsyste
 
 def basis_project_onto(state: BasisState, layout: RegisterLayout, subsystem: str, value: int) -> BasisState:
     """:func:`project_onto` of a basis state."""
-    qubits = _projected_qubits(state, layout, subsystem, value)
+    qubits, value = _projected_qubits(state, layout, subsystem, value)
     selected = _bit_values(state.indices, state.num_qubits, qubits) == value
     indices, amps = state.indices[selected], state.amplitudes[selected]
     weight = _projection_weight(amps, subsystem, value)

@@ -28,7 +28,8 @@ from .protocol import (
     RecordEncoding,
     Scenario,
     TrialEngine,
-    _check_blank,
+    _apply_stage,
+    _cat_indices,
     _observe_stage,
     _recorded_state,
     canonical_scenario,
@@ -41,13 +42,12 @@ from .seeding import as_generator, derive_seed
 from .statevec import (
     EXACT_TOL,
     NORM_TOL,
+    BasisState,
     RegisterLayout,
     StateVector,
-    _apply_matrix,
     _check_norm,
     _count,
     _density_spectra,
-    _qubits_first,
     born_probabilities,
     partial_trace,
     trace_distance,
@@ -93,27 +93,6 @@ def _random_two_branch(rng: np.random.Generator) -> BranchStructure:
     return BranchStructure(1, 1, amplitudes / np.linalg.norm(amplitudes))
 
 
-def _observe_columns(columns: np.ndarray, layout: RegisterLayout, variant: str,
-                     encoding: RecordEncoding) -> np.ndarray:
-    """``observe`` on every column of a ``(2^n, d)`` stack of states at once,
-    with the same blank-register check on each column.  The gates are
-    permutations, so every output amplitude is a copied input amplitude and
-    each column keeps the norm its ``StateVector`` was checked for."""
-    stage = _observe_stage(layout, variant, encoding)
-    n = layout.total_qubits
-
-    def born(name):
-        # The register's values on the rows, one column's other qubits on axis 1.
-        block = _qubits_first(columns, n, layout.qubits(name))
-        block = block.reshape(block.shape[0], -1, columns.shape[1])
-        return np.sum(np.abs(block) ** 2, axis=1)
-
-    _check_blank(stage, born)
-    for gate in stage.gates:
-        columns = _apply_matrix(columns, n, gate.targets, gate.resolved_matrix())
-    return columns
-
-
 def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAULT_SEED) -> Verdict:
     """Max entry-wise deviation between the three observation circuits.
 
@@ -127,14 +106,22 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     ]
     gen = as_generator(rng_seed)
     structures += [_random_two_branch(gen) for _ in range(num_random_cats)]
-    # Every structure here has two branches, so they share one layout.
+    # Every structure here has two branches, so every cat sits on the same
+    # two basis indices of one layout.  The gates only relabel indices, so
+    # one basis state per variant gives every cat's image indices, and its
+    # blank check covers every cat.  Each output amplitude is a copied cat
+    # weight, as the dense gate kernels give it.
     scenario = canonical_scenario()
     layout = scenario_layout(scenario)
-    cats = np.stack([prepare_cat(s, layout).amplitudes for s in structures], axis=1)
-    states = [
-        _observe_columns(cats, layout, variant, scenario.encoding)
-        for variant in ("a", "b", "c")
-    ]
+    equal = structures[0]
+    cat = BasisState(_cat_indices(equal, layout), equal.weights, layout.total_qubits)
+    weights = np.stack([s.weights for s in structures], axis=1)
+    states = []
+    for variant in ("a", "b", "c"):
+        stage = _observe_stage(layout, variant, scenario.encoding)
+        state = np.zeros((2**layout.total_qubits, len(structures)), dtype=np.complex128)
+        state[_apply_stage(cat, layout, stage).indices] = weights
+        states.append(state)
     worst = 0.0
     for i in range(3):
         for j in range(i + 1, 3):

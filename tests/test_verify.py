@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from realitysteer import (
+    BasisState,
     BranchStructure,
     DensityMatrix,
     GateSpec,
@@ -30,6 +31,8 @@ from realitysteer import (
     observe,
     partial_trace,
     prepare_cat,
+    project_onto,
+    protocol,
     random_channel,
     run_checks,
     run_ensemble,
@@ -38,8 +41,8 @@ from realitysteer import (
     trace_distance,
     verify,
 )
-from realitysteer.seeding import as_generator, derive_seed
-from realitysteer.statevec import _density_spectra
+from realitysteer.seeding import as_generator, derive_seed, derive_seeds
+from realitysteer.statevec import _density_spectra, basis_project_onto
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -63,19 +66,34 @@ class TestCircuitEquivalence:
         second = check_circuit_equivalence(num_random_cats=25, rng_seed=3)
         assert first.metric == second.metric
 
-    @pytest.mark.parametrize("encoding", list(RecordEncoding))
-    def test_stacked_columns_match_observe(self, encoding):
-        layout = scenario_layout(canonical_scenario(encoding=encoding))
-        structures = [BranchStructure.two_branch(1.0, 0.0)] + [
-            verify._random_two_branch(np.random.default_rng(seed)) for seed in range(5)
-        ]
-        cats = [prepare_cat(s, layout) for s in structures]
-        columns = np.stack([cat.amplitudes for cat in cats], axis=1)
-        for variant in ("a", "b", "c"):
-            stacked = verify._observe_columns(columns, layout, variant, encoding)
-            for column, cat in zip(stacked.T, cats):
-                expected = observe(cat, layout, variant, encoding).amplitudes
-                assert np.ascontiguousarray(column).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("dropped", [None, "a", "b", "c"])
+    def test_metric_matches_dense_observe_cat_by_cat(self, monkeypatch, dropped):
+        """The metric, bit for bit, from the public dense ``observe`` on one
+        ``prepare_cat`` state at a time, with the variant ``dropped`` missing
+        its last gate in both paths."""
+        real_stage = verify._observe_stage
+
+        def stage(layout, variant, encoding):
+            built = real_stage(layout, variant, encoding)
+            return built._replace(gates=built.gates[:-1]) if variant == dropped else built
+
+        monkeypatch.setattr(verify, "_observe_stage", stage)
+        monkeypatch.setattr(protocol, "_observe_stage", stage)
+        gen = as_generator(11)
+        structures = [BranchStructure.equal(1, 1), BranchStructure.two_branch(1.0, 0.0)]
+        structures += [verify._random_two_branch(gen) for _ in range(20)]
+        scenario = canonical_scenario()
+        layout = scenario_layout(scenario)
+        worst = 0.0
+        for structure in structures:
+            cat = prepare_cat(structure, layout)
+            states = [observe(cat, layout, v, scenario.encoding).amplitudes for v in "abc"]
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    worst = max(worst, float(np.max(np.abs(states[i] - states[j]))))
+        verdict = check_circuit_equivalence(num_random_cats=20, rng_seed=11)
+        assert verdict.metric.hex() == worst.hex()
+        assert verdict.passed == (dropped is None)
 
     def test_a_defective_variant_fails(self, monkeypatch):
         real_stage = verify._observe_stage
@@ -88,15 +106,6 @@ class TestCircuitEquivalence:
         verdict = check_circuit_equivalence(num_random_cats=3)
         assert not verdict.passed
         assert verdict.metric > 0.5
-
-    def test_every_column_must_start_blank(self):
-        layout = scenario_layout(canonical_scenario())
-        blank = prepare_cat(BranchStructure.equal(1, 1), layout).amplitudes
-        written = np.zeros_like(blank)
-        written[basis_index(layout, {"E1": 1})] = 1.0
-        columns = np.stack([blank, written, blank], axis=1)
-        with pytest.raises(ValueError, match="observe: register 'E1' is not blank"):
-            verify._observe_columns(columns, layout, "a", RecordEncoding.PLAIN)
 
 
 class TestNoSignalling:
@@ -241,10 +250,17 @@ class TestStackedNoSignalling:
         assert [op.tobytes() for op in channel.operators] == [op.tobytes() for op in expected]
 
 
+# A two-qubit state with C leading: 0.6 on C = 0, 0.8 on C = 1, B blank.
+PROJECTION_LAYOUT = RegisterLayout.from_sizes([("C", 1), ("B", 1)])
+PROJECTION_DENSE = StateVector([0.6, 0, 0.8, 0], 2)
+PROJECTION_BASIS = BasisState([0, 2], [0.6, 0.8], 2)
+
+
 class TestCountArguments:
     """The one count rule, ``statevec._count``, at every library site that
-    takes a count or a qubit index, size or value, and ``Scenario``'s seed
-    rule: each refusal is a ValueError that starts with the name."""
+    takes a count or a qubit index, size or value, and the one seed rule,
+    ``seeding._seed``, at every seeding entry point: each refusal is a
+    ValueError that starts with the name."""
 
     @pytest.mark.parametrize("call, name", [
         (lambda: check_no_signalling(True), "num_random_channels"),
@@ -274,13 +290,31 @@ class TestCountArguments:
         (lambda: RegisterLayout.from_sizes([("C", 1.5)]), "sizes"),
         (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": 1.0}), "values"),
         (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": 1.5}), "values"),
+        (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", True), "value"),
+        (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", 1.0), "value"),
+        (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", 1.5), "value"),
+        (lambda: basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", True), "value"),
+        (lambda: basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", 1.0), "value"),
+        (lambda: basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", 1.5), "value"),
+        (lambda: as_generator(1.5), "rng"),
+        (lambda: as_generator(True), "rng"),
+        (lambda: derive_seed(1.5, 0), "base_seed"),
+        (lambda: derive_seed(True, 0), "base_seed"),
+        (lambda: derive_seeds(1.5, 0, 2), "base_seed"),
+        (lambda: decoupling_sweep(4, [1], 2, 1.5), "base_seed"),
+        (lambda: check_no_signalling(1, 1.5), "base_seed"),
+        (lambda: run_checks(("circuit_equivalence",), rng_seed=1.5), "rng"),
     ], ids=[
         "channels_bool", "channels_float", "cats_float", "cats_bool", "trials_float",
         "trials_bool", "ensemble_float", "ensemble_bool", "encodings_float", "alive_float",
         "dead_bool", "env_float", "env_bool", "kraus_float", "arity_float",
         "kraus_arity_float", "kraus_arity_bool", "seed_float", "seed_bool",
         "record_bool", "record_float", "target_bool", "target_float", "size_bool",
-        "size_float", "value_integral_float", "value_float",
+        "size_float", "value_integral_float", "value_float", "project_bool",
+        "project_integral_float", "project_float", "basis_project_bool",
+        "basis_project_integral_float", "basis_project_float", "generator_float",
+        "generator_bool", "derive_float", "derive_bool", "derive_many_float",
+        "sweep_seed_float", "no_signalling_seed_float", "run_checks_seed_float",
     ])
     def test_refuses_a_non_integer(self, call, name):
         with pytest.raises(ValueError, match=f"{name}: must be an integer"):
@@ -303,10 +337,12 @@ class TestCountArguments:
         (lambda: GateSpec.cnot(0, -1), "targets", 0),
         (lambda: RegisterLayout.from_sizes([("C", 1), ("B", 0)]), "sizes", 1),
         (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": -1}), "values", 0),
+        (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", -1), "value", 0),
+        (lambda: basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", -1), "value", 0),
     ], ids=[
         "cats", "channels", "trials", "ensemble", "batch_negative", "batch_empty",
         "batch_first", "encodings", "alive", "env", "kraus", "arity", "kraus_arity",
-        "target", "size", "value",
+        "target", "size", "value", "project", "basis_project",
     ])
     def test_refuses_a_count_below_its_minimum(self, call, name, minimum):
         with pytest.raises(ValueError, match=f"{name}: must be an integer >= {minimum}, got "):
@@ -345,6 +381,24 @@ class TestCountArguments:
         seeded = Scenario(rng_seed=np.int64(-77))
         assert type(seeded.rng_seed) is int and seeded.rng_seed == -77
         assert run_ensemble(seeded, 5) == run_ensemble(Scenario(rng_seed=2**64 - 77), 5)
+
+    def test_projection_values_take_numpy_integers(self):
+        dense = project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", np.int64(1))
+        expected = project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", 1)
+        assert dense.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        assert abs(dense.amplitudes[2]) == 1.0
+        basis = basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", np.int64(1))
+        expected = basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", 1)
+        assert basis.indices.tolist() == expected.indices.tolist() == [2]
+        assert basis.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("seed, plain", [
+        (np.int64(5), 5), (np.uint64(5), 5), (-1, 2**64 - 1), (2**70 + 5, 5),
+    ], ids=["numpy_int", "numpy_uint", "negative", "wide"])
+    def test_seeding_entry_points_reduce_seeds_mod_2_64(self, seed, plain):
+        assert as_generator(seed).random(2).tolist() == as_generator(plain).random(2).tolist()
+        assert derive_seed(seed, 3) == derive_seed(plain, 3)
+        assert derive_seeds(seed, 0, 3).tolist() == derive_seeds(plain, 0, 3).tolist()
 
 
 class TestIndistinguishability:
