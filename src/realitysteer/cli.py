@@ -22,10 +22,13 @@ amplitudes or [re, im] pairs; omitted means equal weights), env_qubits,
 encoding (plain|tagged), observe_variant (a|b|c), participation
 (all|dead_only|alive_only), nonlinear_lambda, rng_seed.
 
-``Scenario`` holds every scenario rule and parsing only coerces types.  Each
-scenario a config will run, every sweep point too, is built with its analytic
-column at parse time: a config that parses runs, and a refusal exits 2
-naming its key.
+Parsing only coerces types and prefixes messages with their key; each rule
+lives in the library call that acts on it: ``Scenario``, then
+``expected_post_probabilities`` (plain records or a filter with partial
+participation), ``sweep_point`` (lambda, env_qubits, weight_c0sq values) and
+``decoupling_sweep`` (accessible_k values).  Every scenario and sweep point a
+config will run is built with its analytic column at parse time: a config
+that parses runs, and a refusal exits 2 naming its key.
 
 Reports are JSON documents ``{"payload": ..., "metadata": ...}``.  The
 payload is fully determined by config and seed and serializes byte-
@@ -140,8 +143,9 @@ SCENARIO_KEYS = (
 
 
 def parse_scenario(block, context: str = "scenario") -> Scenario:
-    """Coerce a scenario block to a Scenario.  ``Scenario`` owns every rule;
-    its messages start with the rejected field, prefixed here with context."""
+    """Coerce a scenario block to a Scenario.  ``Scenario`` and
+    ``expected_post_probabilities`` own every rule; their messages start
+    with the rejected field, prefixed here with context."""
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected an object")
     for key in block:
@@ -159,7 +163,7 @@ def parse_scenario(block, context: str = "scenario") -> Scenario:
         nonlinear_lambda = _number(nonlinear_lambda, f"{context}.nonlinear_lambda")
     rng_seed = _get(block, "rng_seed", int, context, default=0)
     try:
-        return Scenario(
+        scenario = Scenario(
             branch_structure=BranchStructure(num_alive, num_dead, weights),
             env_qubits=env_qubits,
             encoding=encoding,
@@ -168,20 +172,25 @@ def parse_scenario(block, context: str = "scenario") -> Scenario:
             nonlinear_lambda=nonlinear_lambda,
             rng_seed=rng_seed,
         )
+        # Reports echo the scenario, a sweep's base on any axis included.
+        expected_post_probabilities(scenario)
+        return scenario
     except ValueError as error:
         raise ConfigError(f"{context}.{error}") from None
 
 
 def sweep_point(base: Scenario, axis: str, value) -> Scenario:
     """The scenario a lambda, env_qubits or weight_c0sq sweep runs at one
-    value.  Raises ValueError for a value the axis cannot take."""
+    value.  Raises ValueError for a value or base the axis cannot take."""
     if axis == "lambda":
         return replace(base, nonlinear_lambda=float(value))
     if axis == "env_qubits":
         if not float(value).is_integer():
             raise ValueError("env_qubits: must be an integer")
         return replace(base, env_qubits=int(value))
-    if not 0 <= value <= 1:  # weight_c0sq
+    if base.branch_structure.num_branches != 2:  # weight_c0sq
+        raise ValueError("weight_c0sq: weight sweeps need a two-branch scenario")
+    if not 0 <= value <= 1:
         raise ValueError("weight_c0sq: must be in [0, 1]")
     c0sq = float(value)
     two = BranchStructure.two_branch(math.sqrt(c0sq), math.sqrt(1.0 - c0sq))
@@ -205,16 +214,6 @@ def parse_config(path: str):
     if not isinstance(document, dict):
         raise ConfigError(f"{path}: top level must be an object")
     scenario = parse_scenario(document.get("scenario", {}), "scenario")
-    # Blank memory and branch 0's plain record coincide: samples would
-    # contradict the analytic column.  Demo 02 shows it through the library.
-    if scenario.encoding is RecordEncoding.PLAIN and scenario.participation is not Participation.ALL:
-        raise ConfigError("scenario.participation: partial participation needs encoding 'tagged'")
-    # The report echoes this scenario, sweeps of any axis included: it must
-    # be one a run would accept.
-    try:
-        expected_post_probabilities(scenario)
-    except ValueError as error:
-        raise ConfigError(f"scenario.{error}") from None
     if "sweep" in document:
         block = document["sweep"]
         if not isinstance(block, dict):
@@ -233,8 +232,6 @@ def parse_config(path: str):
             _check_record_split(num_record_qubits)
         except ValueError as error:
             raise ConfigError(f"sweep.{error}") from None
-        if axis == "weight_c0sq" and scenario.branch_structure.num_branches != 2:
-            raise ConfigError("sweep.axis: weight sweeps need a two-branch scenario")
         for value in values:
             number = _number(value, "sweep.values")
             try:
@@ -412,13 +409,13 @@ def cmd_verify(suite, seed: int, out: "str | None" = None, fmt: str = "json") ->
 def _sweep_rows(config: SweepConfig, trials_per_point: int) -> list:
     rows = []
     if config.axis == "accessible_k":
-        ks = [int(v) for v in config.values]
-        table = decoupling_sweep(config.num_record_qubits, ks, trials_per_point, config.base.rng_seed)
-        for k in ks:
+        table = decoupling_sweep(config.num_record_qubits, config.values,
+                                 trials_per_point, config.base.rng_seed)
+        for k in config.values:
             results = table[k]
             rows.append(
                 {
-                    "accessible_k": k,
+                    "accessible_k": int(k),
                     "num_record_qubits": config.num_record_qubits,
                     "num_encodings": len(results),
                     "mean_conditional_trace_distance": float(

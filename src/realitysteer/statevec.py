@@ -84,6 +84,7 @@ class RegisterLayout:
     total_qubits: int
 
     def __post_init__(self):
+        object.__setattr__(self, "total_qubits", _count("total_qubits", self.total_qubits, 0))
         names = [name for name, _ in self.subsystems]
         if len(set(names)) != len(names):
             raise ValueError("subsystem names must be unique")
@@ -129,8 +130,7 @@ class StateVector:
     def __post_init__(self):
         amps = _frozen_array(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
+        object.__setattr__(self, "num_qubits", _count("num_qubits", self.num_qubits, 1))
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"amplitude vector has length {amps.shape}, expected 2**{self.num_qubits}"
@@ -162,8 +162,7 @@ class BasisState:
         amps = _frozen_array(self.amplitudes)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "amplitudes", amps)
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
+        object.__setattr__(self, "num_qubits", _count("num_qubits", self.num_qubits, 1))
         if indices.ndim != 1 or amps.shape != indices.shape:
             raise ValueError(
                 f"{indices.shape} basis indices do not match {amps.shape} amplitudes"
@@ -208,9 +207,8 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _frozen_array(self.entries)
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "num_qubits", _count("num_qubits", self.num_qubits, 1))
         dim = 2**self.num_qubits
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be >= 1")
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape}, expected ({dim}, {dim})")
         spectrum = _density_spectra(mat)

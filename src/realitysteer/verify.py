@@ -319,6 +319,10 @@ def expected_post_probabilities(scenario: Scenario) -> np.ndarray:
     """Closed-form post-outcome distribution: branch weights squared, or the
     filter-shifted two-branch probabilities when a filter is configured."""
     weights = scenario.branch_structure.weights
+    if scenario.participation is not Participation.ALL and scenario.encoding is RecordEncoding.PLAIN:
+        # Blank memory and branch 0's plain record coincide, so samples would
+        # contradict this column.  TrialEngine still runs it, for demo 02.
+        raise ValueError("participation: partial participation needs encoding 'tagged'")
     if scenario.nonlinear_lambda is None or scenario.nonlinear_lambda == 1.0:
         return np.abs(weights) ** 2
     if scenario.participation is not Participation.ALL:

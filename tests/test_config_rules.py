@@ -1,6 +1,7 @@
 """Config acceptance as a contract: a config the CLI accepts runs to
 completion (exit 0); a config it refuses exits 2 and names the offending key
-or flag.  Exit 3 (a runtime error) never follows from configuration."""
+or flag.  Exit 3 (a runtime error) never follows from configuration, only
+from what a run meets, such as a report path that is a directory."""
 
 import contextlib
 import io
@@ -13,7 +14,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from realitysteer.cli import EXIT_CONFIG, EXIT_OK, SCENARIO_KEYS, main
+from realitysteer import (
+    BranchStructure,
+    Participation,
+    Scenario,
+    born_statistics_test,
+    canonical_scenario,
+)
+from realitysteer.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    SCENARIO_KEYS,
+    RunConfig,
+    SweepConfig,
+    cmd_run,
+    cmd_sweep,
+    main,
+)
 
 SCHEMA_KEYS = set(SCENARIO_KEYS) | {
     "axis", "values", "trials_per_point", "num_record_qubits",
@@ -81,6 +99,42 @@ REFUSED = {
                   "sweep": {"axis": "accessible_k", "values": [1], "num_record_qubits": 2}}, (),
         r"scenario\.nonlinear_lambda: .*participation",
     ),
+    "sweep without an axis": (
+        "sweep", {"sweep": {"values": [1]}}, (), r"sweep\.axis: missing required key",
+    ),
+    "text weight": (
+        "run", {"scenario": {"weights": ["a", 1]}}, (),
+        r"scenario\.weights: expected a number, got str",
+    ),
+    "unknown encoding": (
+        "run", {"scenario": {"encoding": "foo"}}, (),
+        r"scenario\.encoding: must be one of plain, tagged",
+    ),
+    "weights not a list": (
+        "run", {"scenario": {"weights": 0.5}}, (),
+        r"scenario\.weights: expected a list of amplitudes",
+    ),
+    "scenario not an object": ("run", {"scenario": [1]}, (), r"scenario: expected an object"),
+    "top level not an object": ("run", "[1]", (), r"top level must be an object"),
+    "sweep not an object": ("sweep", {"sweep": [1]}, (), r"sweep: expected an object"),
+    "empty sweep values": (
+        "sweep", {"sweep": {"axis": "lambda", "values": []}}, (),
+        r"sweep\.values: must be non-empty",
+    ),
+    "record register past its limit": (
+        "sweep", {"sweep": {"axis": "accessible_k", "values": [1], "num_record_qubits": 13}}, (),
+        r"sweep\.num_record_qubits: must be in 1\.\.12",
+    ),
+    "weight sweep value past 1": (
+        "sweep", {"sweep": {"axis": "weight_c0sq", "values": [1.5]}}, (),
+        r"sweep\.values: weight_c0sq values include 1\.5: weight_c0sq: must be in \[0, 1\]",
+    ),
+    "weight sweep over four branches": (
+        "sweep", {"scenario": {"num_alive": 2, "num_dead": 2},
+                  "sweep": {"axis": "weight_c0sq", "values": [0.5]}}, (),
+        r"sweep\.values: weight_c0sq values include 0\.5: "
+        r"weight_c0sq: weight sweeps need a two-branch scenario",
+    ),
 }
 
 
@@ -90,6 +144,56 @@ def test_refused_with_key_named(case, tmp_path):
     code, err = run_cli(command, document, tmp_path, flags or ("--trials", "3"))
     assert code == EXIT_CONFIG, err
     assert re.search(pattern, err), err
+
+
+def test_report_path_on_a_directory_is_a_runtime_error(tmp_path):
+    (tmp_path / "report.json").mkdir()
+    code, err = run_cli("run", {}, tmp_path)
+    assert code == EXIT_RUNTIME, err
+    assert err.startswith("runtime error: "), err
+
+
+# The library calls a config runs through hold the rules themselves, so a
+# caller that skips parse_config gets the same refusal, naming the field.
+LIBRARY_REFUSED = {
+    "run, plain records, dead-only erase": (
+        lambda out: cmd_run(
+            RunConfig(canonical_scenario(participation=Participation.DEAD_ONLY, rng_seed=3),
+                      4000, None, False),
+            out=out,
+        ),
+        "participation: partial participation needs encoding 'tagged'",
+    ),
+    "weight sweep over four branches": (
+        lambda out: cmd_sweep(
+            SweepConfig(Scenario(branch_structure=BranchStructure.equal(2, 2)),
+                        "weight_c0sq", (0.5,), 100),
+            out=out,
+        ),
+        "weight_c0sq: weight sweeps need a two-branch scenario",
+    ),
+    "fractional access level": (
+        lambda out: cmd_sweep(
+            SweepConfig(canonical_scenario(), "accessible_k", (2.5,), 1, 4), out=out
+        ),
+        "accessible: out of range",
+    ),
+    "Born test, plain records, alive-only erase": (
+        lambda out: born_statistics_test(
+            canonical_scenario(participation=Participation.ALIVE_ONLY), num_trials=1000
+        ),
+        "participation: partial participation needs encoding 'tagged'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSED))
+def test_library_call_refuses_with_field_named(case, tmp_path):
+    call, message = LIBRARY_REFUSED[case]
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call(str(out))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "0"])

@@ -288,6 +288,17 @@ class TestCountArguments:
         (lambda: GateSpec.x(1.0), "targets"),
         (lambda: RegisterLayout.from_sizes([("C", True)]), "sizes"),
         (lambda: RegisterLayout.from_sizes([("C", 1.5)]), "sizes"),
+        (lambda: RegisterLayout((("C", (0,)),), True), "total_qubits"),
+        (lambda: RegisterLayout((("C", (0,)),), 1.0), "total_qubits"),
+        (lambda: StateVector(np.array([1, 0]), True), "num_qubits"),
+        (lambda: StateVector(np.array([1, 0]), 1.0), "num_qubits"),
+        (lambda: StateVector(np.array([1, 0]), 1.5), "num_qubits"),
+        (lambda: BasisState([0], [1.0], True), "num_qubits"),
+        (lambda: BasisState([0], [1.0], 1.0), "num_qubits"),
+        (lambda: BasisState([0], [1.0], 1.5), "num_qubits"),
+        (lambda: DensityMatrix(np.diag([1.0, 0.0]), True), "num_qubits"),
+        (lambda: DensityMatrix(np.diag([1.0, 0.0]), 1.0), "num_qubits"),
+        (lambda: DensityMatrix(np.diag([1.0, 0.0]), 1.5), "num_qubits"),
         (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": 1.0}), "values"),
         (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": 1.5}), "values"),
         (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", True), "value"),
@@ -310,7 +321,10 @@ class TestCountArguments:
         "dead_bool", "env_float", "env_bool", "kraus_float", "arity_float",
         "kraus_arity_float", "kraus_arity_bool", "seed_float", "seed_bool",
         "record_bool", "record_float", "target_bool", "target_float", "size_bool",
-        "size_float", "value_integral_float", "value_float", "project_bool",
+        "size_float", "layout_total_bool", "layout_total_float", "state_bool",
+        "state_integral_float", "state_float", "basis_bool", "basis_integral_float",
+        "basis_float", "density_bool", "density_integral_float", "density_float",
+        "value_integral_float", "value_float", "project_bool",
         "project_integral_float", "project_float", "basis_project_bool",
         "basis_project_integral_float", "basis_project_float", "generator_float",
         "generator_bool", "derive_float", "derive_bool", "derive_many_float",
@@ -339,10 +353,15 @@ class TestCountArguments:
         (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": -1}), "values", 0),
         (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", -1), "value", 0),
         (lambda: basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", -1), "value", 0),
+        (lambda: RegisterLayout((), -1), "total_qubits", 0),
+        (lambda: StateVector(np.array([1.0]), 0), "num_qubits", 1),
+        (lambda: BasisState([0], [1.0], 0), "num_qubits", 1),
+        (lambda: DensityMatrix(np.ones((1, 1)), 0), "num_qubits", 1),
     ], ids=[
         "cats", "channels", "trials", "ensemble", "batch_negative", "batch_empty",
         "batch_first", "encodings", "alive", "env", "kraus", "arity", "kraus_arity",
-        "target", "size", "value", "project", "basis_project",
+        "target", "size", "value", "project", "basis_project", "layout_total", "state",
+        "basis", "density",
     ])
     def test_refuses_a_count_below_its_minimum(self, call, name, minimum):
         with pytest.raises(ValueError, match=f"{name}: must be an integer >= {minimum}, got "):
@@ -375,6 +394,11 @@ class TestCountArguments:
         assert GateSpec.x(np.int64(1)).targets == (1,)
         layout = RegisterLayout.from_sizes([("C", np.int32(2))])
         assert layout.total_qubits == 2
+        assert RegisterLayout.from_sizes([]).total_qubits == 0
+        assert type(RegisterLayout((("C", (0,)),), np.int64(1)).total_qubits) is int
+        assert type(StateVector(np.array([1, 0]), np.int64(1)).num_qubits) is int
+        assert type(BasisState([0], [1.0], np.int64(1)).num_qubits) is int
+        assert type(DensityMatrix(np.diag([1.0, 0.0]), np.int64(1)).num_qubits) is int
         assert basis_index(layout, {"C": np.uint8(2)}) == basis_index(layout, {"C": "10"}) == 2
 
     def test_seeds_of_any_sign_reduce_mod_2_64(self):
