@@ -409,6 +409,8 @@ def cmd_verify(suite, seed: int, out: "str | None" = None, fmt: str = "json") ->
 def _sweep_rows(config: SweepConfig, trials_per_point: int) -> list:
     rows = []
     if config.axis == "accessible_k":
+        # No trial runs here, but the echoed base obeys the other axes' rule.
+        expected_post_probabilities(config.base)
         table = decoupling_sweep(config.num_record_qubits, config.values,
                                  trials_per_point, config.base.rng_seed)
         for k in config.values:

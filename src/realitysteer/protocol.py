@@ -704,27 +704,40 @@ class DecouplingResult:
     feasible: bool
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator, width: int) -> np.ndarray:
-    """The first ``width`` columns of the QR of a seeded Ginibre matrix, with
-    the phase convention that makes the full Q Haar.
+def _haar_unitary(dim: int, rng: np.random.Generator) -> tuple:
+    """Columns 0 and ``dim/2`` of a Haar unitary: the QR of a seeded Ginibre
+    matrix, with the phase diag(r)/|diag(r)| that makes Q Haar.
 
     The whole ``dim x dim`` matrix is drawn (real part, then imaginary part),
-    so the seed stream does not depend on ``width``.  Column j of a
-    Householder QR depends only on the first j+1 columns (Mezzadri,
-    arXiv:math-ph/0609050), so the QR runs on those ``width`` columns only."""
+    so the seed stream does not depend on which columns are kept.  Column j
+    of Q depends only on the first j+1 Ginibre columns (Mezzadri,
+    arXiv:math-ph/0609050), so the Householder QR runs on the first
+    ``dim/2 + 1`` columns only and Q is never formed: Q e_j is the product of
+    reflectors j down to 0 applied to e_j.  Row i of the raw factor ``h``
+    holds reflector i, a 1 at position i and ``h[i, i+1:]`` after it, scaled
+    by ``tau[i]``; ``h[j, j]`` is r_jj."""
     real = rng.standard_normal((dim, dim))
     imag = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr((real[:, :width] + 1j * imag[:, :width]) / np.sqrt(2.0))
-    diagonal = np.diag(r)
-    return q * (diagonal / np.abs(diagonal))
+    half = dim // 2
+    h, tau = np.linalg.qr((real[:, :half + 1] + 1j * imag[:, :half + 1]) / np.sqrt(2.0),
+                          mode="raw")
+    columns = []
+    for j in (0, half):
+        column = np.zeros(dim, dtype=complex)
+        column[j] = 1.0
+        for i in range(j, -1, -1):
+            tail = h[i, i + 1:]
+            step = tau[i] * (column[i] + np.vdot(tail, column[i + 1:]))
+            column[i] -= step
+            column[i + 1:] -= step * tail
+        columns.append(column * (h[j, j] / abs(h[j, j])))
+    return tuple(columns)
 
 
 def _haar_encodings(num_record_qubits: int, rng) -> tuple:
     """Branches 0 and 1 encoded by a seeded Haar-random unitary: its columns
     for inputs |0> and |1> on the leading qubit, the others blank."""
-    dim = 2**num_record_qubits
-    columns = _haar_unitary(dim, as_generator(rng), dim // 2 + 1)
-    return columns[:, 0], columns[:, dim // 2]
+    return _haar_unitary(2**num_record_qubits, as_generator(rng))
 
 
 def _check_record_split(num_record_qubits, accessible_values=()) -> int:

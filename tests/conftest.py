@@ -216,7 +216,8 @@ def dense_engine_tables(scenario):
 def haar_unitary(dim, rng):
     """The whole Haar-random unitary: a full QR of the ``dim x dim`` Ginibre
     matrix, with the phase convention that makes Q Haar.  The program's
-    encodings are two of its columns, from a QR of the leading columns only."""
+    encodings are two of its columns, from the Householder factors of the
+    leading columns only."""
     ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(ginibre / np.sqrt(2.0))
     diagonal = np.diag(r)

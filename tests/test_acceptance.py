@@ -227,10 +227,10 @@ def test_decoupling_transition_sits_near_half_access():
         fractions[9] >= 0.9
         and fractions[1] <= 0.1
         and crossing_inside
-        and elapsed < 300.0,
+        and elapsed < 30.0,
         f"feasibility fractions {fractions} for 20 encodings at 10 record "
         f"qubits: >= 0.9 at k=9, <= 0.1 at k=1, 50% crossing inside [3, 7]; "
-        f"{elapsed:.0f}s (< 300s)",
+        f"{elapsed:.0f}s (< 30s)",
     )
 
 

@@ -178,6 +178,14 @@ LIBRARY_REFUSED = {
         ),
         "accessible: out of range",
     ),
+    "access sweep over plain records, dead-only erase": (
+        lambda out: cmd_sweep(
+            SweepConfig(canonical_scenario(participation=Participation.DEAD_ONLY),
+                        "accessible_k", (1,), 1, 2),
+            out=out,
+        ),
+        "participation: partial participation needs encoding 'tagged'",
+    ),
     "Born test, plain records, alive-only erase": (
         lambda out: born_statistics_test(
             canonical_scenario(participation=Participation.ALIVE_ONLY), num_trials=1000

@@ -633,6 +633,48 @@ def test_decoupling_matches_the_full_qr_and_dense_metrics(n):
             assert 0.0 <= expected.conditional_trace_distance <= 1.0, (j, k)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_haar_encodings_consume_two_full_draws(n):
+    """The seed contract: an encoding reads the whole d x d real and imaginary
+    draws, however few columns it keeps."""
+    dim = 2**n
+    rng, twin = as_generator(HAAR_SEED), as_generator(HAAR_SEED)
+    _haar_encodings(n, rng)
+    twin.standard_normal((dim, dim))
+    twin.standard_normal((dim, dim))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def ginibre_block(n, seed):
+    """The scaled Ginibre matrix the encodings of ``seed`` are drawn from."""
+    dim = 2**n
+    rng = as_generator(seed)
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_haar_columns_are_orthonormal(n):
+    for j in range(ORACLE_ENCODINGS):
+        zero, one = _haar_encodings(n, derive_seed(HAAR_SEED, j))
+        assert abs(np.vdot(zero, zero) - 1.0) < 1e-14
+        assert abs(np.vdot(one, one) - 1.0) < 1e-14
+        assert abs(np.vdot(zero, one)) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_haar_phase_makes_each_column_positive_on_its_ginibre_column(n):
+    """With the diag(r)/|diag(r)| phase, <g_j, q_j> = r_jj |r_jj| / r_jj = |r_jj|
+    is real and positive, for columns j = 0 and d/2 of the Ginibre block g."""
+    dim = 2**n
+    for j in range(ORACLE_ENCODINGS):
+        seed = derive_seed(HAAR_SEED, j)
+        block = ginibre_block(n, seed)
+        for index, column in zip((0, dim // 2), _haar_encodings(n, seed)):
+            overlap = np.vdot(block[:, index], column)
+            assert overlap.real > 0.0, (j, index)
+            assert abs(overlap.imag) < 1e-14 * overlap.real, (j, index)
+
+
 def test_no_access_trace_distance_is_at_most_one():
     # Orthogonal branch states: encodings 0 and 3 round to just above 1.
     for row in decoupling_sweep(10, [0], 4, ORACLE_SEED)[0]:
