@@ -386,8 +386,8 @@ class TestReportBytes:
         ),
         "accessible_k": (
             ACCESSIBLE_K_SWEEP,
-            "36ea7f84460302cea53fda6f1c0cb9113d68a129ccd9b0848130480ef7350b30",
-            "c568432fe24a65508f07bffe0b29a9a5b9c6218f698e52dbda5a08d78858def7",
+            "26fc68fb266df411a5dd87544d40d3168c8356370ca8b711e0308090a01e5e5b",
+            "f7138113b596b04c460d9d0d8df51bc2585a45be13d6922a61f751486df3f79e",
         ),
     }
 

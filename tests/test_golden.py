@@ -30,7 +30,7 @@ TRIALS = {"decoupling_sweep.json": 2}
 DIGESTS = {
     "biased_tagged_run.json": "8a3ab77ad7fde60bc812b3ed3d71efde550d95794d726c3f8786abf9eabe66fe",
     "canonical_run.json": "e4c77dbc72d067ab72406d78d0a4b7f89da7835496a1b289181059b149db2a2f",
-    "decoupling_sweep.json": "4cca08ac12c666a5365ac296faefb439f821fa74bdd936f11fa13ec58d67f4ce",
+    "decoupling_sweep.json": "588d13d16748e038104f0133849cb7f7abc08dc71459236643b06132bb93181d",
     "env_sweep.json": "55caacd62ef93cf6e85f75b2b248f8357383a6e5bade84ce4688d393e4ecac87",
     "lambda_sweep.json": "9cf7adf7a07fdcff6107229e8de78bee0f702e1bd3ec1f08361b2c574122acc8",
 }
