@@ -712,10 +712,11 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> tuple:
     so the seed stream does not depend on which columns are kept.  Column j
     of Q depends only on the first j+1 Ginibre columns (Mezzadri,
     arXiv:math-ph/0609050), so the Householder QR runs on the first
-    ``dim/2 + 1`` columns only and Q is never formed: Q e_j is the product of
-    reflectors j down to 0 applied to e_j.  Row i of the raw factor ``h``
-    holds reflector i, a 1 at position i and ``h[i, i+1:]`` after it, scaled
-    by ``tau[i]``; ``h[j, j]`` is r_jj."""
+    ``dim/2 + 1`` columns only and Q is never formed: Q e_j is reflectors j
+    down to 0 applied to e_j.  Reflector i is I - tau[i] v v^dagger, where v
+    is 0 before position i, 1 at it and ``h[i, i+1:]`` after it; ``h[j, j]``
+    is r_jj.  At dim = 2 the last reflector has no tail but is still a phase,
+    so it is applied too."""
     real = rng.standard_normal((dim, dim))
     imag = rng.standard_normal((dim, dim))
     half = dim // 2

@@ -645,13 +645,6 @@ def test_haar_encodings_consume_two_full_draws(n):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def ginibre_block(n, seed):
-    """The scaled Ginibre matrix the encodings of ``seed`` are drawn from."""
-    dim = 2**n
-    rng = as_generator(seed)
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-
-
 @pytest.mark.parametrize("n", range(1, 11))
 def test_haar_columns_are_orthonormal(n):
     for j in range(ORACLE_ENCODINGS):
@@ -663,14 +656,15 @@ def test_haar_columns_are_orthonormal(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_haar_phase_makes_each_column_positive_on_its_ginibre_column(n):
-    """With the diag(r)/|diag(r)| phase, <g_j, q_j> = r_jj |r_jj| / r_jj = |r_jj|
-    is real and positive, for columns j = 0 and d/2 of the Ginibre block g."""
+    """With the diag(r)/|diag(r)| phase, <q_j, g_j> = |r_jj|, real and positive,
+    for columns j = 0 and d/2 of the scaled Ginibre matrix g they come from."""
     dim = 2**n
     for j in range(ORACLE_ENCODINGS):
         seed = derive_seed(HAAR_SEED, j)
-        block = ginibre_block(n, seed)
+        rng = as_generator(seed)
+        ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         for index, column in zip((0, dim // 2), _haar_encodings(n, seed)):
-            overlap = np.vdot(block[:, index], column)
+            overlap = np.vdot(column, ginibre[:, index] / np.sqrt(2.0))
             assert overlap.real > 0.0, (j, index)
             assert abs(overlap.imag) < 1e-14 * overlap.real, (j, index)
 
