@@ -49,6 +49,7 @@ from .seeding import (
     derive_seeds,
     draw_index,
     first_two_uniforms,
+    generators,
 )
 from .statevec import (
     _FIXED_GATES,
@@ -808,8 +809,8 @@ def decoupling_sweep(num_record_qubits: int, accessible_values, num_encodings: i
     values = list(accessible_values)
     num_record_qubits = _check_record_split(num_record_qubits, values)
     results = {int(k): [] for k in values}
-    for encoding_index in range(num_encodings):
-        encoded = _haar_encodings(num_record_qubits, derive_seed(rng_seed, encoding_index))
+    for gen in generators(rng_seed, 0, num_encodings):
+        encoded = _haar_encodings(num_record_qubits, gen)
         for k in results:
             results[k].append(_decoupling_metrics(*encoded, num_record_qubits, k))
     return results

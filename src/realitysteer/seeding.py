@@ -10,15 +10,24 @@ that sampled trajectories reproduce bit-for-bit across machines:
 - ``draw_index(rng, probs)``: every categorical draw consumes exactly one
   uniform double and inverts the cumulative distribution.
 
-``derive_seeds`` and ``first_two_uniforms`` compute the same stream for a
-whole range of trials at once.  The second ports numpy's seeding path to
-array arithmetic: ``SeedSequence`` hashing of the seed into a four-word
-pool, ``generate_state(4, uint64)``, PCG64 ``srandom`` and the 128-bit LCG
-step, then the XSL-RR output function and the 53-bit double (O'Neill, "PCG:
-A Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-Random Number Generation", HMC-CS-2014-0905).  Element ``k`` equals
-``default_rng(seeds[k]).random(2)`` bit for bit; ``tests/test_seeding.py``
-pins that, so a numpy release that changed its stream would fail there.
+``derive_seeds``, ``first_two_uniforms`` and ``generators`` compute the
+same stream for a whole range of trials at once.  ``_pcg64_states`` ports
+numpy's seeding path to array arithmetic: ``SeedSequence`` hashing of the
+seed into a four-word pool, ``generate_state(4, uint64)``, PCG64 ``srandom``
+and the 128-bit LCG step (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation", HMC-CS-2014-0905).  On those states:
+
+- ``first_two_uniforms`` runs the XSL-RR output function and the 53-bit
+  double; element ``k`` equals ``default_rng(seeds[k]).random(2)``.
+- ``generators(base, first, count)`` yields one ``Generator`` per index,
+  reseeded in place, that draws exactly what
+  ``default_rng(derive_seed(base, i))`` draws.  The same object is yielded
+  every time, so a caller must not hold it past its index.
+
+``tests/test_seeding.py`` pins both bit for bit against ``default_rng``,
+so a numpy release that changed its stream would fail there.
+``as_generator`` stays the scalar reference.
 """
 
 import numpy as np
@@ -146,8 +155,9 @@ def _to_double(bits):
     return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def first_two_uniforms(seeds: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """The first two ``random()`` doubles of ``default_rng(seed)`` per seed.
+def _pcg64_states(seeds: np.ndarray) -> list:
+    """The PCG64 ``(state, inc)`` of ``default_rng(seed)`` per seed, before
+    its first draw, as uint64 columns ``[state_hi, state_lo, inc_hi, inc_lo]``.
 
     ``seeds`` are uint64, as ``derive_seeds`` returns them.
     """
@@ -158,11 +168,46 @@ def first_two_uniforms(seeds: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
     hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
     hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    return [hi, lo, inc_hi, inc_lo]
+
+
+def first_two_uniforms(seeds: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """The first two ``random()`` doubles of ``default_rng(seed)`` per seed.
+
+    ``seeds`` are uint64, as ``derive_seeds`` returns them.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg64_states(seeds)
     uniforms = []
     for _ in range(2):  # random() steps, then outputs the new state
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
         uniforms.append(_to_double(_xsl_rr(hi, lo)))
     return uniforms[0], uniforms[1]
+
+
+def generators(base_seed: int, first: int, count: int):
+    """One ``Generator`` per index ``i`` in ``first..first+count-1``, equal in
+    every draw to ``default_rng(derive_seed(base_seed, i))``.
+
+    Every index's PCG64 state is computed in one array pass, and the same
+    ``Generator`` is yielded each time, reseeded through its bit generator's
+    ``state`` (which also clears the buffered 32-bit half).  A caller must not
+    hold it past its index.  ``base_seed`` is checked before the first index.
+    """
+    columns = [column.tolist() for column in _pcg64_states(derive_seeds(base_seed, first, count))]
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+
+    def reseeded():
+        for state_hi, state_lo, inc_hi, inc_lo in zip(*columns):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield gen
+
+    return reseeded()
 
 
 def clamped_cdf(probs: np.ndarray) -> np.ndarray:

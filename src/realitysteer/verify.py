@@ -38,7 +38,7 @@ from .protocol import (
     rewrite_record,
     scenario_layout,
 )
-from .seeding import as_generator, derive_seed
+from .seeding import as_generator, generators
 from .statevec import (
     EXACT_TOL,
     NORM_TOL,
@@ -93,6 +93,22 @@ def _random_two_branch(rng: np.random.Generator) -> BranchStructure:
     return BranchStructure(1, 1, amplitudes / np.linalg.norm(amplitudes))
 
 
+def _random_cat_weights(gen: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` calls of ``_random_two_branch(gen)``, as their ``(count, 2)``
+    weights, from one draw.  Each cat keeps its own ``np.linalg.norm``, so the
+    weights are bit-equal, and ``BranchStructure``'s norm rule runs once over
+    the stack."""
+    draws = gen.standard_normal((count, 2, 2))
+    weights = draws[:, 0] + 1j * draws[:, 1]
+    for row in weights:
+        row /= np.linalg.norm(row)
+    with np.errstate(over="ignore"):
+        deviation = np.max(np.abs(np.sum(np.abs(weights) ** 2, axis=1) - 1.0), initial=0.0)
+    if not deviation <= NORM_TOL:
+        raise ValueError(f"weights: squared amplitudes sum off unity by {deviation:.3e}")
+    return weights
+
+
 def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAULT_SEED) -> Verdict:
     """Max entry-wise deviation between the three observation circuits.
 
@@ -100,12 +116,12 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     random cat weights.
     """
     num_random_cats = _count("num_random_cats", num_random_cats, 0)
-    structures = [
-        BranchStructure.equal(1, 1),
-        BranchStructure.two_branch(1.0, 0.0),
-    ]
-    gen = as_generator(rng_seed)
-    structures += [_random_two_branch(gen) for _ in range(num_random_cats)]
+    equal = BranchStructure.equal(1, 1)
+    weights = np.vstack([
+        equal.weights,
+        BranchStructure.two_branch(1.0, 0.0).weights,
+        _random_cat_weights(as_generator(rng_seed), num_random_cats),
+    ]).T
     # Every structure here has two branches, so every cat sits on the same
     # two basis indices of one layout.  The gates only relabel indices, so
     # one basis state per variant gives every cat's image indices, and its
@@ -113,13 +129,11 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     # weight, as the dense gate kernels give it.
     scenario = canonical_scenario()
     layout = scenario_layout(scenario)
-    equal = structures[0]
     cat = BasisState(_cat_indices(equal, layout), equal.weights, layout.total_qubits)
-    weights = np.stack([s.weights for s in structures], axis=1)
     states = []
     for variant in ("a", "b", "c"):
         stage = _observe_stage(layout, variant, scenario.encoding)
-        state = np.zeros((2**layout.total_qubits, len(structures)), dtype=np.complex128)
+        state = np.zeros((2**layout.total_qubits, weights.shape[1]), dtype=np.complex128)
         state[_apply_stage(cat, layout, stage).indices] = weights
         states.append(state)
     worst = 0.0
@@ -129,7 +143,7 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     return _below(
         "circuit_equivalence", worst, EXACT_TOL,
         f"max amplitude deviation across observation variants a/b/c over "
-        f"{len(structures)} cat preparations; passes below tolerance",
+        f"{weights.shape[1]} cat preparations; passes below tolerance",
     )
 
 
@@ -171,8 +185,7 @@ def check_no_signalling(num_random_channels: int = 100, rng_seed: int = DEFAULT_
     # Draw every index in order; the channels then run grouped by
     # (arity, Kraus count), one stack per group.
     groups = {}
-    for index in range(num_random_channels):
-        gen = as_generator(derive_seed(rng_seed, index))
+    for index, gen in enumerate(generators(rng_seed, 0, num_random_channels)):
         arity, num_kraus = 1 + index % 2, 1 + index % 3
         amplitudes = gen.standard_normal(2 ** (1 + arity)) + 1j * gen.standard_normal(
             2 ** (1 + arity)
@@ -188,8 +201,7 @@ def check_no_signalling(num_random_channels: int = 100, rng_seed: int = DEFAULT_
         worst = max(worst, float(np.max(distances)))
     # The erase pipeline acts only on B and the clinic ancilla, so it is a
     # local operation too and must leave the cat's state untouched.
-    for index in range(8):
-        gen = as_generator(derive_seed(rng_seed, 10_000 + index))
+    for gen in generators(rng_seed, 10_000, 8):
         scenario = canonical_scenario(branch_structure=_random_two_branch(gen))
         layout = scenario_layout(scenario)
         state = _recorded_state(scenario, layout, prepare_cat(scenario.branch_structure, layout))

@@ -19,7 +19,7 @@ from realitysteer import (
     run_ensemble,
     run_trial,
 )
-from realitysteer.seeding import derive_seeds, first_two_uniforms
+from realitysteer.seeding import derive_seeds, first_two_uniforms, generators
 
 BASES = (20260810, -987654321)
 COUNT = 20_000
@@ -46,6 +46,55 @@ def test_first_two_uniforms_match_default_rng(base):
     reference = np.array([np.random.default_rng(int(s)).random(2) for s in seeds])
     assert np.array_equal(first, reference[:, 0])
     assert np.array_equal(second, reference[:, 1])
+
+
+def _draws(gen, index):
+    """Every draw kind the callers of ``generators`` use, between 32-bit
+    integer draws.  Three 32-bit draws leave half of a 64-bit output
+    buffered, so a buffer kept from the previous index would show in the
+    first draw."""
+    arity, num_kraus = 1 + index % 2, 1 + index % 3
+    dim = 2**arity
+    return [
+        gen.integers(2**32, dtype=np.uint32),
+        gen.standard_normal(2 ** (1 + arity)),
+        gen.standard_normal(2 ** (1 + arity)),
+        gen.standard_normal((num_kraus, 2, dim, dim)),
+        gen.random(3),
+        gen.standard_normal((2, 2)),
+        gen.integers(2**32, size=2, dtype=np.uint32),
+    ]
+
+
+@pytest.mark.parametrize("base, first, count", [
+    *((base, 0, 200) for base in BASES + EDGE_SEEDS), (-5, 10_000, 40), (2**63 + 7, 12_345, 20),
+])
+def test_generators_match_default_rng(base, first, count):
+    index = first - 1
+    for index, gen in enumerate(generators(base, first, count), start=first):
+        reference = np.random.default_rng(derive_seed(base, index))
+        for drawn, expected in zip(_draws(gen, index), _draws(reference, index)):
+            assert np.asarray(drawn).tobytes() == np.asarray(expected).tobytes()
+    assert index == first + count - 1
+
+
+def test_generators_yield_one_reused_generator():
+    yielded = {id(gen) for gen in generators(3, 0, 5)}
+    assert len(yielded) == 1
+
+
+def test_generators_of_no_index_yield_nothing():
+    assert list(generators(3, 0, 0)) == []
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, 2.0])
+def test_generators_refuse_a_non_integer_seed_before_the_first_index(seed):
+    with pytest.raises(ValueError) as scalar:
+        derive_seed(seed, 0)
+    with pytest.raises(ValueError) as batched:
+        generators(seed, 0, 0)
+    assert str(batched.value) == str(scalar.value)
+    assert str(batched.value).startswith("base_seed: must be an integer")
 
 
 ACCEPTED = [

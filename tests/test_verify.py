@@ -95,6 +95,36 @@ class TestCircuitEquivalence:
         assert verdict.metric.hex() == worst.hex()
         assert verdict.passed == (dropped is None)
 
+    @pytest.mark.parametrize("rng_seed", [1, 7, 20260810])
+    def test_batched_cat_weights_equal_the_per_cat_structures(self, rng_seed):
+        gen = as_generator(rng_seed)
+        expected = np.stack([verify._random_two_branch(gen).weights for _ in range(1600)])
+        batched = verify._random_cat_weights(as_generator(rng_seed), 1600)
+        assert batched.dtype == expected.dtype
+        assert batched.tobytes() == expected.tobytes()
+        assert verify._random_cat_weights(as_generator(rng_seed), 0).shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [1e200, np.nan], ids=["overflowing", "nan"])
+    def test_a_cat_off_unity_raises(self, monkeypatch, bad):
+        """One cat drawn off unity (its norm overflows, or is NaN) is refused
+        by the same rule and message as ``BranchStructure``'s."""
+
+        class OneBadCat:
+            def __init__(self, rng):
+                self.gen = as_generator(rng)
+
+            def standard_normal(self, size):
+                draws = self.gen.standard_normal(size)
+                if len(draws) > 3:
+                    draws[3] *= bad
+                return draws
+
+        monkeypatch.setattr(verify, "as_generator", OneBadCat)
+        refusal = "^weights: squared amplitudes sum off unity by"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=refusal):
+            check_circuit_equivalence(num_random_cats=5, rng_seed=1)
+        assert check_circuit_equivalence(num_random_cats=3, rng_seed=1).passed
+
     def test_a_defective_variant_fails(self, monkeypatch):
         real_stage = verify._observe_stage
 
