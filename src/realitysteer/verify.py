@@ -102,8 +102,7 @@ def _random_cat_weights(gen: np.random.Generator, count: int) -> np.ndarray:
     weights = draws[:, 0] + 1j * draws[:, 1]
     for row in weights:
         row /= np.linalg.norm(row)
-    with np.errstate(over="ignore"):
-        deviation = np.max(np.abs(np.sum(np.abs(weights) ** 2, axis=1) - 1.0), initial=0.0)
+    deviation = np.max(np.abs(np.sum(np.abs(weights) ** 2, axis=1) - 1.0), initial=0.0)
     if not deviation <= NORM_TOL:
         raise ValueError(f"weights: squared amplitudes sum off unity by {deviation:.3e}")
     return weights
