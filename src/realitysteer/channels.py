@@ -143,16 +143,16 @@ def random_channel(arity: int, num_kraus: int, rng) -> KrausChannel:
     operator comes out unitary.
     """
     arity, num_kraus = _count("arity", arity, 1), _count("num_kraus", num_kraus, 1)
-    operators = _normalized_kraus(_ginibre_kraus(as_generator(rng), arity, num_kraus))
-    return KrausChannel(tuple(operators), arity)
-
-
-def _ginibre_kraus(gen: np.random.Generator, arity: int, num_kraus: int) -> np.ndarray:
-    """``num_kraus`` Ginibre operators on ``arity`` qubits, ``(k, d, d)``.
-    Each operator draws its real part, then its imaginary part, from ``gen``."""
     dim = 2**arity
-    draws = gen.standard_normal((num_kraus, 2, dim, dim))
-    return (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+    draws = as_generator(rng).standard_normal((num_kraus, 2, dim, dim))
+    return KrausChannel(tuple(_normalized_kraus(_ginibre_kraus(draws))), arity)
+
+
+def _ginibre_kraus(draws: np.ndarray) -> np.ndarray:
+    """The Ginibre operators of a ``(..., k, 2, d, d)`` block of standard
+    normals, as ``(..., k, d, d)``: each operator's real part, then its
+    imaginary part, over the square root of 2."""
+    return (draws[..., 0, :, :] + 1j * draws[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def _normalized_kraus(raw: np.ndarray) -> np.ndarray:

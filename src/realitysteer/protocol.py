@@ -806,6 +806,7 @@ def decoupling_sweep(num_record_qubits: int, accessible_values, num_encodings: i
     not depend on the accessibility split).
     """
     num_encodings = _count("num_encodings", num_encodings, 1)
+    rng_seed = _seed("rng_seed", rng_seed)
     values = list(accessible_values)
     num_record_qubits = _check_record_split(num_record_qubits, values)
     results = {int(k): [] for k in values}

@@ -58,7 +58,9 @@ def _count(name: str, value, minimum: int) -> int:
 
 
 def _check_norm(amps: np.ndarray) -> None:
-    deviation = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
+    """Refuse a state, or a ``(..., n)`` stack of states, unless every squared
+    norm is within ``NORM_TOL`` of 1; the message names the worst deviation."""
+    deviation = float(np.abs(np.sum(np.abs(amps) ** 2, axis=-1) - 1.0).max())
     if not deviation <= NORM_TOL:
         raise ValueError(f"squared norm deviates from 1 by {deviation:.3e}")
 

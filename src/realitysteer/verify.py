@@ -38,7 +38,7 @@ from .protocol import (
     rewrite_record,
     scenario_layout,
 )
-from .seeding import as_generator, generators
+from .seeding import _seed, as_generator, generators
 from .statevec import (
     EXACT_TOL,
     NORM_TOL,
@@ -115,6 +115,7 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     random cat weights.
     """
     num_random_cats = _count("num_random_cats", num_random_cats, 0)
+    rng_seed = _seed("rng_seed", rng_seed)
     equal = BranchStructure.equal(1, 1)
     weights = np.vstack([
         equal.weights,
@@ -181,22 +182,28 @@ def check_no_signalling(num_random_channels: int = 100, rng_seed: int = DEFAULT_
     operation.
     """
     num_random_channels = _count("num_random_channels", num_random_channels, 1)
-    # Draw every index in order; the channels then run grouped by
-    # (arity, Kraus count), one stack per group.
+    rng_seed = _seed("rng_seed", rng_seed)
+    # Each index draws, in one call, its state's real parts, its imaginary
+    # parts and its (k, 2, d, d) Kraus block: the values of those three
+    # draws made in turn.  The rows run grouped by (arity, Kraus count), one
+    # stack per group.
     groups = {}
     for index, gen in enumerate(generators(rng_seed, 0, num_random_channels)):
         arity, num_kraus = 1 + index % 2, 1 + index % 3
-        amplitudes = gen.standard_normal(2 ** (1 + arity)) + 1j * gen.standard_normal(
-            2 ** (1 + arity)
-        )
-        state = amplitudes / np.linalg.norm(amplitudes)
-        _check_norm(state)
-        states, kraus = groups.setdefault((arity, num_kraus), ([], []))
-        states.append(state)
-        kraus.append(_ginibre_kraus(gen, arity, num_kraus))
+        dim = 2**arity
+        rows = groups.setdefault((arity, num_kraus), [])
+        rows.append(gen.standard_normal(4 * dim + 2 * num_kraus * dim * dim))
     worst = 0.0
-    for states, kraus in groups.values():
-        distances = _channel_trace_distances(np.stack(states), np.stack(kraus))
+    for (arity, num_kraus), rows in groups.items():
+        dim = 2**arity
+        draws = np.stack(rows)
+        states = draws[:, : 2 * dim] + 1j * draws[:, 2 * dim : 4 * dim]
+        # Each state's own norm: a stacked norm sums in another order.
+        for state in states:
+            state /= np.linalg.norm(state)
+        _check_norm(states)
+        kraus = _ginibre_kraus(draws[:, 4 * dim :].reshape(-1, num_kraus, 2, dim, dim))
+        distances = _channel_trace_distances(states, kraus)
         worst = max(worst, float(np.max(distances)))
     # The erase pipeline acts only on B and the clinic ancilla, so it is a
     # local operation too and must leave the cat's state untouched.

@@ -11,7 +11,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from realitysteer import (
@@ -295,6 +295,16 @@ def documents(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(case=documents())
+# Generated weight sweeps are mostly refused by their base scenario first, so
+# these reach sweep_point's own range refusal on a valid two-branch base.
+@example(case=("sweep", {
+    "scenario": {"rng_seed": 0},
+    "sweep": {"axis": "weight_c0sq", "values": [0.5, 1.5], "trials_per_point": 2},
+}))
+@example(case=("sweep", {
+    "scenario": {"encoding": "tagged", "rng_seed": 1},
+    "sweep": {"axis": "weight_c0sq", "values": [math.nan], "trials_per_point": 2},
+}))
 def test_accepted_configs_run_and_refused_ones_name_their_key(case, tmp_path_factory):
     command, document = case
     code, err = run_cli(command, document, tmp_path_factory.mktemp("config"))

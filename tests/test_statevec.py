@@ -25,6 +25,8 @@ from realitysteer import (
     trace_distance,
     von_neumann_entropy,
 )
+from realitysteer.statevec import _check_norm
+
 from conftest import brute_partial_trace, brute_partial_trace_dm, brute_permutation
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -458,6 +460,18 @@ class TestValueInvariants:
     def test_state_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
             StateVector(np.array([1.0, 1.0]), 1)
+
+    def test_a_stack_of_states_names_its_worst_deviation(self):
+        stack = np.array([[1.0, 0.0], [np.sqrt(1.3), 0.0], [0.0, np.sqrt(0.5)]])
+        for state, shown in zip(stack[1:], ["3.000e-01", "5.000e-01"]):
+            with pytest.raises(ValueError, match=f"^squared norm deviates from 1 by {shown}$"):
+                _check_norm(state)
+        with pytest.raises(ValueError, match="^squared norm deviates from 1 by 5.000e-01$"):
+            _check_norm(stack)
+        with pytest.raises(ValueError, match="^squared norm deviates from 1 by nan$"):
+            _check_norm(np.array([[1.0, 0.0], [np.nan, 0.0]]).reshape(2, 1, 2))
+        _check_norm(stack[:1])
+        _check_norm(stack[0])
 
     def test_state_length_enforced(self):
         with pytest.raises(ValueError, match="length"):

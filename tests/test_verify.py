@@ -280,6 +280,64 @@ class TestStackedNoSignalling:
         assert [op.tobytes() for op in channel.operators] == [op.tobytes() for op in expected]
 
 
+def _three_draws(gen, arity, num_kraus):
+    """An index's state and Kraus set from its three draws in turn: the
+    state's real parts, its imaginary parts, then the ``(k, 2, d, d)`` Kraus
+    block, with the state divided by its own norm."""
+    dim = 2**arity
+    amplitudes = gen.standard_normal(2 * dim) + 1j * gen.standard_normal(2 * dim)
+    draws = gen.standard_normal((num_kraus, 2, dim, dim))
+    return amplitudes / np.linalg.norm(amplitudes), (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+
+
+class TestNoSignallingOneDrawPerIndex:
+    @pytest.mark.parametrize("rng_seed", [20260810, 3])
+    def test_stacks_equal_the_three_draws_per_index(self, monkeypatch, rng_seed):
+        """Each index's one draw gives, for arity 1 and 2 and 1 to 3 Kraus
+        operators, the state and Kraus bits of its three draws: every
+        group's stacks, as the check hands them on, equal its members'
+        three draws in index order."""
+        calls = []
+        real = verify._channel_trace_distances
+
+        def recorded(states, kraus):
+            calls.append((states, kraus))
+            return real(states, kraus)
+
+        monkeypatch.setattr(verify, "_channel_trace_distances", recorded)
+        count = 14
+        check_no_signalling(count, rng_seed=rng_seed)
+        assert len(calls) == 6
+        for states, kraus in calls:
+            arity, num_kraus = int(np.log2(states.shape[1])) - 1, kraus.shape[1]
+            members = [i for i in range(count) if (1 + i % 2, 1 + i % 3) == (arity, num_kraus)]
+            expected = [
+                _three_draws(as_generator(derive_seed(rng_seed, i)), arity, num_kraus)
+                for i in members
+            ]
+            assert states.tobytes() == np.stack([state for state, _ in expected]).tobytes()
+            assert kraus.tobytes() == np.stack([ops for _, ops in expected]).tobytes()
+
+    @pytest.mark.parametrize("bad, shown", [(2.0, "7.500e-01"), (np.nan, "nan")],
+                             ids=["halved", "nan"])
+    def test_a_member_off_unity_raises(self, monkeypatch, bad, shown):
+        """One state of the first stack divided by a wrong norm is refused by
+        ``StateVector``'s norm rule, which names the worst deviation."""
+        real_norm = np.linalg.norm
+        calls = []
+
+        def third_off(x, *args, **kwargs):
+            calls.append(None)
+            return real_norm(x, *args, **kwargs) * (bad if len(calls) == 3 else 1.0)
+
+        monkeypatch.setattr(np.linalg, "norm", third_off)
+        refusal = f"^squared norm deviates from 1 by {shown}$"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=refusal):
+            check_no_signalling(20, rng_seed=1)
+        monkeypatch.undo()
+        assert check_no_signalling(20, rng_seed=1).passed
+
+
 # A two-qubit state with C leading: 0.6 on C = 0, 0.8 on C = 1, B blank.
 PROJECTION_LAYOUT = RegisterLayout.from_sizes([("C", 1), ("B", 1)])
 PROJECTION_DENSE = StateVector([0.6, 0, 0.8, 0], 2)
@@ -342,9 +400,12 @@ class TestCountArguments:
         (lambda: derive_seed(1.5, 0), "base_seed"),
         (lambda: derive_seed(True, 0), "base_seed"),
         (lambda: derive_seeds(1.5, 0, 2), "base_seed"),
-        (lambda: decoupling_sweep(4, [1], 2, 1.5), "base_seed"),
-        (lambda: check_no_signalling(1, 1.5), "base_seed"),
-        (lambda: run_checks(("circuit_equivalence",), rng_seed=1.5), "rng"),
+        (lambda: decoupling_sweep(4, [1], 2, 1.5), "rng_seed"),
+        (lambda: decoupling_sweep(4, [1], 2, True), "rng_seed"),
+        (lambda: check_no_signalling(1, 1.5), "rng_seed"),
+        (lambda: check_no_signalling(1, True), "rng_seed"),
+        (lambda: run_checks(("circuit_equivalence",), rng_seed=1.5), "rng_seed"),
+        (lambda: check_circuit_equivalence(1, rng_seed=True), "rng_seed"),
     ], ids=[
         "channels_bool", "channels_float", "cats_float", "cats_bool", "trials_float",
         "trials_bool", "ensemble_float", "ensemble_bool", "encodings_float", "alive_float",
@@ -358,7 +419,8 @@ class TestCountArguments:
         "project_integral_float", "project_float", "basis_project_bool",
         "basis_project_integral_float", "basis_project_float", "generator_float",
         "generator_bool", "derive_float", "derive_bool", "derive_many_float",
-        "sweep_seed_float", "no_signalling_seed_float", "run_checks_seed_float",
+        "sweep_seed_float", "sweep_seed_bool", "no_signalling_seed_float",
+        "no_signalling_seed_bool", "run_checks_seed_float", "circuit_seed_bool",
     ])
     def test_refuses_a_non_integer(self, call, name):
         with pytest.raises(ValueError, match=f"{name}: must be an integer"):
