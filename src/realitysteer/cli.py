@@ -35,7 +35,9 @@ payload is fully determined by config and seed and serializes byte-
 identically across runs; timestamps live only in the metadata block.
 A run's ``per_trial`` rows are written from ``TrialBatch.outcomes()``, each
 distinct report serialized once, with the bytes that
-``canonical_payload_bytes`` gives for ``TrialBatch.rows()``.
+``canonical_payload_bytes`` gives for ``TrialBatch.rows()``.  The rows go
+straight to the open report between the document's two halves, in fixed
+chunks of trials, so no copy of the whole document is ever built.
 """
 
 import argparse
@@ -314,22 +316,33 @@ def _open_report(path: str, mode: str, **kwargs):
 # serialized; no payload string contains a NUL.
 _PER_TRIAL_MARKER = "\0per_trial\0"
 
+# Trial rows joined per write: a per-trial report never holds more than this
+# many rows in one buffer, and a 4,000-trial report is still one write.
+_ROWS_PER_WRITE = 8192
 
-def _per_trial_bytes(batch: TrialBatch) -> bytes:
-    """``batch.rows()`` of a non-empty batch as ``canonical_payload_bytes`` writes
-    that list at ``document["payload"]["per_trial"]``, two levels deep: each of
-    ``batch.outcomes()`` is serialized once, and the texts joined in trial order."""
+
+def _write_per_trial(handle, batch: TrialBatch):
+    """Write ``batch.rows()`` of a non-empty batch as ``canonical_payload_bytes``
+    writes that list at ``document["payload"]["per_trial"]``, two levels deep:
+    each of ``batch.outcomes()`` is serialized once, and the texts written in
+    trial order, ``_ROWS_PER_WRITE`` rows per write."""
     distinct, index = batch.outcomes()
     newline = b"\n" + b"  " * 3
+    separator = b"," + newline
     texts = [canonical_payload_bytes(vars(r)).replace(b"\n", newline) for r in distinct]
-    rows = (b"," + newline).join([texts[i] for i in index.tolist()])
-    return b"[" + newline + rows + b"\n    ]"
+    handle.write(b"[" + newline)
+    for start in range(0, len(index), _ROWS_PER_WRITE):
+        if start:
+            handle.write(separator)
+        chunk = index[start:start + _ROWS_PER_WRITE].tolist()
+        handle.write(separator.join([texts[i] for i in chunk]))
+    handle.write(b"\n    ]")
 
 
 def _write_document(payload: dict, path: str, per_trial: "TrialBatch | None" = None):
     """Write ``payload`` and the metadata as one canonical JSON document.  A
     ``per_trial`` batch becomes ``payload["per_trial"]``, byte for byte as if
-    that key held ``per_trial.rows()``."""
+    that key held ``per_trial.rows()``, streamed between the document's halves."""
     if per_trial is not None:
         payload = dict(payload, per_trial=_PER_TRIAL_MARKER)
     document = {
@@ -340,10 +353,11 @@ def _write_document(payload: dict, path: str, per_trial: "TrialBatch | None" = N
         },
     }
     data = canonical_payload_bytes(document)
-    if per_trial is not None:
-        head, tail = data.split(json.dumps(_PER_TRIAL_MARKER).encode("ascii"))
-        data = head + _per_trial_bytes(per_trial) + tail
     with _open_report(path, "wb") as handle:
+        if per_trial is not None:
+            head, data = data.split(json.dumps(_PER_TRIAL_MARKER).encode("ascii"))
+            handle.write(head)
+            _write_per_trial(handle, per_trial)
         handle.write(data + b"\n")
 
 

@@ -4,11 +4,15 @@ all).  Tolerances and runtime budgets are pinned here and nowhere else.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+import realitysteer
 from realitysteer import (
     BranchStructure,
     Participation,
@@ -259,4 +263,40 @@ def test_reports_are_byte_deterministic(tmp_path):
         identical,
         "repeated cmd_run with identical config and seed produced byte-identical "
         f"primary payloads ({len(canonical_payload_bytes(payload_first))} bytes)",
+    )
+
+
+# The child reads its peak resident set from VmHWM: ru_maxrss would also
+# count the forking test process, whose high-water mark carries over exec.
+PER_TRIAL_PEAK_RSS = """
+import contextlib, io, sys
+from realitysteer.cli import cmd_run, parse_config
+with contextlib.redirect_stdout(io.StringIO()):
+    cmd_run(parse_config(sys.argv[1]), out=sys.argv[2], trials=200_000)
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
+"""
+
+
+def test_per_trial_report_streams_in_bounded_memory(tmp_path):
+    """A 200,000-trial per-trial report is 93 MB; its rows are written in
+    chunks, so the process never holds a copy of the whole document."""
+    config_path = tmp_path / "per_trial.json"
+    config_path.write_text(json.dumps({
+        "scenario": {"encoding": "tagged", "participation": "dead_only"},
+        "emit_per_trial": True,
+    }))
+    out = tmp_path / "r.json"
+    src = os.path.dirname(os.path.dirname(realitysteer.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", PER_TRIAL_PEAK_RSS, str(config_path), str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    peak_mb = float(result.stdout)
+    report(
+        "per-trial memory",
+        peak_mb < 100 and out.stat().st_size > 90_000_000,
+        f"200000-trial tagged dead_only per-trial report of {out.stat().st_size} bytes "
+        f"written at a peak RSS of {peak_mb:.0f} MB (< 100 MB)",
     )

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import realitysteer
-from realitysteer import TrialEngine
+from realitysteer import TrialEngine, cli
 from realitysteer.cli import (
     ConfigError,
     RunConfig,
@@ -175,6 +177,26 @@ class TestCmdRun:
         assert lines[0] == "quantity,value"
         assert len(lines) > 4
 
+    def test_csv_with_per_trial_writes_the_summary_only(self, tmp_path):
+        """A CSV report is the summary table whether or not the config asks
+        for per-trial rows."""
+        written = []
+        for emit_per_trial in (False, True):
+            document = dict(CANONICAL, emit_per_trial=emit_per_trial)
+            config = parse_config(write_config(tmp_path, "c.json", document))
+            out = tmp_path / f"{emit_per_trial}.csv"
+            assert cmd_run(config, out=str(out), fmt="csv", trials=100) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        header, *rows = csv.reader(io.StringIO(written[1].decode()))
+        assert header == ["quantity", "value"]
+        assert [quantity for quantity, _ in rows] == [
+            "analytic_post_probabilities", "erased_fraction",
+            "mean_brain_entropy_bits", "mean_brain_purity_after_erase",
+            "memory_consistent_fraction", "num_trials",
+            "post_outcome_frequencies", "pre_outcome_frequencies",
+        ]
+
 
 class TestCmdSweep:
     def test_lambda_sweep_analytic_column(self, tmp_path):
@@ -260,9 +282,7 @@ PER_TRIAL_RUNS = {name: document for name, (command, document) in REPORT_CASES.i
                   if command == "run"}
 
 
-@pytest.mark.parametrize("trials", [1, 40, 4000])
-@pytest.mark.parametrize("document", PER_TRIAL_RUNS.values(), ids=list(PER_TRIAL_RUNS))
-def test_per_trial_bytes_match_the_rows_writer(tmp_path, document, trials):
+def assert_rows_writer_bytes(tmp_path, document, trials):
     """The per-trial array is written from the batch columns; the file equals
     the document rebuilt with ``TrialBatch.rows()`` and serialized whole."""
     config = parse_config(write_config(tmp_path, "c.json", document))
@@ -273,6 +293,25 @@ def test_per_trial_bytes_match_the_rows_writer(tmp_path, document, trials):
     batch = TrialEngine(config.scenario).run_batch(config.scenario.rng_seed, 0, trials)
     rebuilt["payload"]["per_trial"] = batch.rows()
     assert written == canonical_payload_bytes(rebuilt) + b"\n"
+
+
+ROWS_PER_WRITE = cli._ROWS_PER_WRITE
+
+
+@pytest.mark.parametrize("trials", [1, 40, 4000])
+@pytest.mark.parametrize("document", PER_TRIAL_RUNS.values(), ids=list(PER_TRIAL_RUNS))
+def test_per_trial_bytes_match_the_rows_writer(tmp_path, monkeypatch, document, trials):
+    """Chunks of 1 and 3 rows put chunk boundaries inside every ensemble of
+    more than one trial; the real chunk size writes each of them at once."""
+    for rows_per_write in (1, 3, ROWS_PER_WRITE):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+        assert_rows_writer_bytes(tmp_path, document, trials)
+
+
+def test_per_trial_bytes_cross_the_real_chunk_size(tmp_path):
+    """Three chunks at the real size, the last holding one trial."""
+    document = PER_TRIAL_RUNS["four-branch-tagged-dead_only"]
+    assert_rows_writer_bytes(tmp_path, document, 2 * ROWS_PER_WRITE + 1)
 
 
 class TestMainEntry:
