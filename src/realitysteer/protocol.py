@@ -27,13 +27,17 @@ prefixes a written-flag qubit so blank, alive records, and dead records
 are mutually orthogonal.
 
 Every unitary step (observe, spread, erase, conditional erase, record
-rewrite) is one gate list of X, CNOT and multi-controlled X, built once by
-its ``_*_stage`` function.  These gates only relabel basis states, so the
+rewrite) is one gate tuple of X, CNOT and multi-controlled X, built once per
+register shape by its ``_*_stage`` function.  A stage depends on the layout,
+the encoding, the observation variant, the participation and the branch
+counts, never on the weights or the seed, so scenarios of one shape share
+their layout and stages.  These gates only relabel basis states, so the
 register holds one amplitude per branch however many qubits it has.  The
-public stage functions apply the lists to a dense ``StateVector``;
-``TrialEngine`` applies the same lists to a ``BasisState``.
+public stage functions apply the gates to a dense ``StateVector``;
+``TrialEngine`` applies the same gates to a ``BasisState``.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,7 +66,9 @@ from .statevec import (
     _bit_values,
     _check_filter_weight,
     _count,
+    _cached_permutation_pairs,
     _frozen_array,
+    _relabel,
     _squared_norm,
     apply_gate,
     basis_born_probabilities,
@@ -70,7 +76,6 @@ from .statevec import (
     basis_index,
     basis_project_onto,
     born_probabilities,
-    permute,
     project_onto,
     purity,
     sample_outcome,
@@ -85,6 +90,10 @@ MAX_RECORD_QUBITS = 12  # the decoupling diagnostic's dense 2^n x 2^n Ginibre dr
 # feasibility transition at the half-access point for Haar-scrambled records.
 DECOUPLING_FEASIBLE_THRESHOLD = 0.5
 RECORD_TOL = 1e-9  # the engine's record checks: brain mass off the records, pinned reads
+# Layouts and stages are cached per register shape.  One process meets few
+# shapes (a sweep over every env_qubits value the budget allows has 21), so
+# each cache keeps at most this many.
+_SHAPES_KEPT = 64
 
 
 class RecordEncoding(Enum):
@@ -172,11 +181,16 @@ class BranchStructure:
         return f"dead_{branch - self.num_alive}"
 
     def branches_in(self, participation: Participation):
-        if participation is Participation.ALL:
-            return tuple(range(self.num_branches))
-        if participation is Participation.DEAD_ONLY:
-            return tuple(range(self.num_alive, self.num_branches))
-        return tuple(range(self.num_alive))
+        return _branches_in(self.num_alive, self.num_dead, participation)
+
+
+def _branches_in(num_alive: int, num_dead: int, participation: Participation) -> tuple:
+    """The participating branches, alive-first indices as in ``BranchStructure``."""
+    if participation is Participation.ALL:
+        return tuple(range(num_alive + num_dead))
+    if participation is Participation.DEAD_ONLY:
+        return tuple(range(num_alive, num_alive + num_dead))
+    return tuple(range(num_alive))
 
 
 @dataclass(frozen=True)
@@ -227,12 +241,16 @@ def scenario_layout(scenario: Scenario) -> RegisterLayout:
 
     B is the brain (tagged: written-flag qubit first, then the value
     qubits), Af/A the clinic ancilla mirroring B's qubits, and F the
-    one-qubit participation flag.
+    one-qubit participation flag.  Scenarios of one shape share one layout.
     """
-    width = scenario.branch_structure.cat_width
     tagged = scenario.encoding is RecordEncoding.TAGGED
+    return _shape_layout(scenario.branch_structure.cat_width, tagged, scenario.env_qubits)
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _shape_layout(width: int, tagged: bool, env_qubits: int) -> RegisterLayout:
     sizes = [("C", width), ("B", width + 1 if tagged else width)]
-    for copy_index in range(1, scenario.env_qubits + 1):
+    for copy_index in range(1, env_qubits + 1):
         sizes.append((f"E{copy_index}", width))
     if tagged:
         sizes.append(("Af", 1))
@@ -264,25 +282,28 @@ def _ancilla_record_qubits(layout: RegisterLayout, encoding: RecordEncoding):
 
 class _Stage(NamedTuple):
     """One unitary step of the protocol: its name in errors, the registers
-    that must be blank before it, and its gates.  The dense stage functions
-    and ``TrialEngine`` apply the same stages."""
+    that must be blank before it, and its gates, a tuple, so a cached stage
+    cannot change.  The dense stage functions and ``TrialEngine`` apply the
+    same stages."""
 
     name: str
     blank: tuple
-    gates: list
+    gates: tuple
 
 
 def _apply_stage(state, layout: RegisterLayout, stage: _Stage):
     """Refuse the stage unless each register it needs blank reads 0 with
     probability 1, within ``NORM_TOL``; then apply its gates: gate by gate
-    to a ``StateVector``, as one relabelling to a ``BasisState``."""
+    to a ``StateVector``, as one relabelling to a ``BasisState``.  The
+    relabelling's ``(mask, flip)`` pairs are compiled from ``stage.gates``
+    once per gate tuple and register size."""
     dense = isinstance(state, StateVector)
     born = born_probabilities if dense else basis_born_probabilities
     for name in stage.blank:
         if abs(born(state, layout, name)[0] - 1.0) > NORM_TOL:
             raise ValueError(f"{stage.name}: register {name!r} is not blank")
     if not dense:
-        return permute(state, stage.gates)
+        return _relabel(state, _cached_permutation_pairs(stage.gates, state.num_qubits))
     for gate in stage.gates:
         state = apply_gate(state, gate)
     return state
@@ -323,6 +344,7 @@ def prepare_cat(branch_structure: BranchStructure, layout: "RegisterLayout | Non
     return StateVector(amps, layout.total_qubits)
 
 
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
 def _observe_stage(layout: RegisterLayout, variant: str, encoding: RecordEncoding) -> _Stage:
     cat = layout.qubits("C")
     env = layout.qubits("E1")
@@ -336,7 +358,7 @@ def _observe_stage(layout: RegisterLayout, variant: str, encoding: RecordEncodin
         gates = _pairwise_cnots(cat, env) + _record_write_gates(layout, encoding, "E1")
     else:
         raise ValueError("variant must be one of a, b, c")
-    return _Stage("observe", ("B", "E1"), gates)
+    return _Stage("observe", ("B", "E1"), tuple(gates))
 
 
 def observe(state: StateVector, layout: RegisterLayout, variant: str, encoding: RecordEncoding) -> StateVector:
@@ -350,6 +372,7 @@ def observe(state: StateVector, layout: RegisterLayout, variant: str, encoding: 
     return _apply_stage(state, layout, _observe_stage(layout, variant, encoding))
 
 
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
 def _spread_stage(layout: RegisterLayout, copies: int) -> _Stage:
     if copies < 0:
         raise ValueError("copies must be >= 0")
@@ -362,7 +385,7 @@ def _spread_stage(layout: RegisterLayout, copies: int) -> _Stage:
     gates = []
     for copy_index in range(2, copies + 2):
         gates.extend(_pairwise_cnots(layout.qubits("C"), layout.qubits(f"E{copy_index}")))
-    return _Stage("spread_to_environment", (), gates)
+    return _Stage("spread_to_environment", (), tuple(gates))
 
 
 def spread_to_environment(state: StateVector, layout: RegisterLayout, copies: int) -> StateVector:
@@ -370,11 +393,12 @@ def spread_to_environment(state: StateVector, layout: RegisterLayout, copies: in
     return _apply_stage(state, layout, _spread_stage(layout, copies))
 
 
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
 def _clinic_stage(layout: RegisterLayout, encoding: RecordEncoding) -> _Stage:
     brain = layout.qubits("B")
     ancilla = _ancilla_record_qubits(layout, encoding)
     gates = _pairwise_cnots(brain, ancilla) + _pairwise_cnots(ancilla, brain)
-    return _Stage("clinic_erase", tuple(_ancilla_names(encoding)), gates)
+    return _Stage("clinic_erase", tuple(_ancilla_names(encoding)), tuple(gates))
 
 
 def clinic_erase(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding) -> StateVector:
@@ -388,14 +412,14 @@ def clinic_erase(state: StateVector, layout: RegisterLayout, encoding: RecordEnc
 
 
 def _participation_flag_gates(layout: RegisterLayout, encoding: RecordEncoding,
-                              branch_structure: BranchStructure, participation: Participation):
+                              num_alive: int, num_dead: int, participation: Participation):
     """Raise F exactly on branches whose brain record participates."""
     flag = layout.qubits("F")[0]
     if participation is Participation.ALL:
         return [GateSpec.x(flag)]
     value_qubits = _brain_value_qubits(layout, encoding)
     gates = []
-    for branch in branch_structure.branches_in(participation):
+    for branch in _branches_in(num_alive, num_dead, participation):
         pattern = [(branch >> (len(value_qubits) - 1 - i)) & 1 for i in range(len(value_qubits))]
         pre = [GateSpec.x(q) for q, bit in zip(value_qubits, pattern) if bit == 0]
         gates.extend(pre)
@@ -404,16 +428,19 @@ def _participation_flag_gates(layout: RegisterLayout, encoding: RecordEncoding,
     return gates
 
 
-def _conditional_clinic_stage(layout: RegisterLayout, branch_structure: BranchStructure,
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _conditional_clinic_stage(layout: RegisterLayout, num_alive: int, num_dead: int,
                               participation: Participation, encoding: RecordEncoding) -> _Stage:
-    gates = _participation_flag_gates(layout, encoding, branch_structure, participation)
+    """The conditional erase for ``num_alive`` alive and ``num_dead`` dead
+    branches: the counts are all of the branch structure it depends on."""
+    gates = _participation_flag_gates(layout, encoding, num_alive, num_dead, participation)
     flag = layout.qubits("F")[0]
     brain = layout.qubits("B")
     ancilla = _ancilla_record_qubits(layout, encoding)
     x = _FIXED_GATES["x"]
     gates += [GateSpec.controlled(x, (flag, b), (a,)) for b, a in zip(brain, ancilla)]
     gates += [GateSpec.controlled(x, (flag, a), (b,)) for b, a in zip(brain, ancilla)]
-    return _Stage("conditional_clinic", (*_ancilla_names(encoding), "F"), gates)
+    return _Stage("conditional_clinic", (*_ancilla_names(encoding), "F"), tuple(gates))
 
 
 def conditional_clinic(state: StateVector, layout: RegisterLayout,
@@ -426,7 +453,8 @@ def conditional_clinic(state: StateVector, layout: RegisterLayout,
     correlates with the branch family and the brain stays entangled with cat
     and environment in the skipped branches.
     """
-    stage = _conditional_clinic_stage(layout, branch_structure, participation, encoding)
+    stage = _conditional_clinic_stage(layout, branch_structure.num_alive,
+                                      branch_structure.num_dead, participation, encoding)
     return _apply_stage(state, layout, stage)
 
 
@@ -438,8 +466,9 @@ def _recorded_state(scenario: Scenario, layout: RegisterLayout, cat):
     return _apply_stage(state, layout, _spread_stage(layout, scenario.env_qubits - 1))
 
 
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
 def _rewrite_stage(layout: RegisterLayout, encoding: RecordEncoding) -> _Stage:
-    return _Stage("rewrite_record", (), _record_write_gates(layout, encoding, "C"))
+    return _Stage("rewrite_record", (), tuple(_record_write_gates(layout, encoding, "C")))
 
 
 def rewrite_record(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding) -> StateVector:
@@ -502,11 +531,11 @@ class TrialEngine:
     The unitary stages and all state-level diagnostics are seed-independent,
     so they are evaluated once, and the engine keeps only their per-branch
     tables, never a state.  The pipeline runs on a ``BasisState``: one
-    amplitude per branch, gates applied by ``permute``.  ``run(seed)`` draws
-    the observer's pre- and post-branch from those tables.  ``run_batch``
-    draws a range of an ensemble's trials as columns, each equal to what
-    ``run`` gives for that trial's seed; ``run(seed)`` stays the scalar
-    reference.
+    amplitude per branch, each stage applied as one relabelling.
+    ``run(seed)`` draws the observer's pre- and post-branch from those
+    tables.  ``run_batch`` draws a range of an ensemble's trials as columns,
+    each equal to what ``run`` gives for that trial's seed; ``run(seed)``
+    stays the scalar reference.
     """
 
     def __init__(self, scenario: Scenario):
@@ -525,7 +554,8 @@ class TrialEngine:
         if scenario.participation is Participation.ALL:
             erase = _clinic_stage(layout, encoding)
         else:
-            erase = _conditional_clinic_stage(layout, structure, scenario.participation, encoding)
+            erase = _conditional_clinic_stage(layout, structure.num_alive, structure.num_dead,
+                                              scenario.participation, encoding)
         state = _apply_stage(state, layout, erase)
         brain = self._brain(state)
         self.brain_purity = purity(brain)

@@ -22,6 +22,7 @@ occupies and their amplitudes; its kernels (``permute``, ``basis_*``) apply
 the basis permutations the protocol is made of.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -537,12 +538,12 @@ def _bit_values(indices: np.ndarray, num_qubits: int, qubits) -> np.ndarray:
     return values
 
 
-def permute(state: BasisState, gates) -> BasisState:
-    """Apply X, CNOT and multi-controlled-X gates as a relabelling of basis
-    indices: where every control bit is 1, the target bit flips.  The
-    amplitudes are untouched.  Any other gate raises ``ValueError``."""
-    n = state.num_qubits
-    indices = state.indices
+def _permutation_pairs(gates, num_qubits: int) -> tuple:
+    """Step one of a relabelling: each gate as a ``(control mask, flip bit)``
+    pair over ``num_qubits``-bit indices.  X, CNOT and multi-controlled X are
+    the only gates taken; any other gate, or a target out of range, raises
+    ``ValueError``."""
+    pairs = []
     for gate in gates:
         is_x = gate.kind in ("x", "cnot") or (
             gate.kind == "controlled-u" and np.array_equal(gate.matrix, _FIXED_GATES["x"])
@@ -551,15 +552,45 @@ def permute(state: BasisState, gates) -> BasisState:
             raise ValueError(
                 f"permute applies x, cnot and controlled-X gates only, not {gate.kind!r}"
             )
-        _check_targets(gate, n)
+        _check_targets(gate, num_qubits)
         *controls, target = gate.targets
-        flip = 1 << (n - 1 - target)
-        if controls:
-            mask = sum(1 << (n - 1 - q) for q in controls)
+        mask = sum(1 << (num_qubits - 1 - q) for q in controls)
+        pairs.append((mask, 1 << (num_qubits - 1 - target)))
+    return tuple(pairs)
+
+
+# The protocol applies the same few stage gate tuples over and over: four per
+# register shape, for up to 64 shapes.  A gate hashes and compares by
+# identity, so a hit is the very same gates.
+_cached_permutation_pairs = functools.lru_cache(maxsize=256)(_permutation_pairs)
+
+
+def _relabel(state: BasisState, pairs) -> BasisState:
+    """Step two of a relabelling: for each ``(mask, flip)`` pair in turn,
+    every index whose mask bits are all 1 flips its ``flip`` bit.  Each pair
+    is a bijection on ``0..2^n-1`` and the amplitudes stay the input's, so
+    the indices stay distinct and in range and the norm stays within
+    tolerance: the result is built without re-checking them."""
+    indices = state.indices
+    for mask, flip in pairs:
+        if mask:
             indices = np.where((indices & mask) == mask, indices ^ flip, indices)
         else:
             indices = indices ^ flip
-    return BasisState(indices, state.amplitudes, n)
+    indices.flags.writeable = False
+    relabelled = object.__new__(BasisState)
+    object.__setattr__(relabelled, "indices", indices)
+    object.__setattr__(relabelled, "amplitudes", state.amplitudes)
+    object.__setattr__(relabelled, "num_qubits", state.num_qubits)
+    return relabelled
+
+
+def permute(state: BasisState, gates) -> BasisState:
+    """Apply X, CNOT and multi-controlled-X gates as a relabelling of basis
+    indices: where every control bit is 1, the target bit flips.  The
+    amplitudes are untouched.  Any other gate, or a target out of range,
+    raises ``ValueError``."""
+    return _relabel(state, _permutation_pairs(gates, state.num_qubits))
 
 
 def basis_born_probabilities(state: BasisState, layout: RegisterLayout, subsystem: str) -> np.ndarray:

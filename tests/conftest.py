@@ -89,19 +89,23 @@ def brute_filter(amplitudes, num_qubits, target_qubit, weight):
     return out / norm
 
 
-def brute_permutation(amplitudes, num_qubits, gates):
-    """X, CNOT and multi-controlled-X gates as explicit basis relabelling:
-    each index whose control bits are all 1 moves to the index with the last
-    target bit flipped."""
-    out = np.array(amplitudes, dtype=complex)
+def brute_image(index, num_qubits, gates):
+    """Where X, CNOT and multi-controlled-X gates move one basis index: gate
+    by gate, an index whose control bits are all 1 gets its last target bit
+    flipped."""
     for gate in gates:
         *controls, target = gate.targets
-        moved = np.empty_like(out)
-        for index in range(2**num_qubits):
-            fire = all((index >> (num_qubits - 1 - q)) & 1 for q in controls)
-            flip = 1 << (num_qubits - 1 - target) if fire else 0
-            moved[index ^ flip] = out[index]
-        out = moved
+        if all((index >> (num_qubits - 1 - q)) & 1 for q in controls):
+            index ^= 1 << (num_qubits - 1 - target)
+    return index
+
+
+def brute_permutation(amplitudes, num_qubits, gates):
+    """X, CNOT and multi-controlled-X gates as explicit basis relabelling:
+    the amplitude at each index moves to its :func:`brute_image`."""
+    out = np.zeros(2**num_qubits, dtype=complex)
+    for index in range(2**num_qubits):
+        out[brute_image(index, num_qubits, gates)] = amplitudes[index]
     return out
 
 

@@ -142,7 +142,8 @@ def _erase_every_branch(monkeypatch):
     build = protocol._conditional_clinic_stage
     monkeypatch.setattr(
         protocol, "_conditional_clinic_stage",
-        lambda layout, structure, participation, encoding: build(layout, structure, ALL, encoding),
+        lambda layout, num_alive, num_dead, participation, encoding:
+        build(layout, num_alive, num_dead, ALL, encoding),
     )
 
 
@@ -151,7 +152,7 @@ def _write_the_wrong_record(monkeypatch):
 
     def wrong(layout, encoding):
         stage = build(layout, encoding)
-        return stage._replace(gates=stage.gates + [GateSpec.x(layout.qubits("B")[-1])])
+        return stage._replace(gates=(*stage.gates, GateSpec.x(layout.qubits("B")[-1])))
 
     monkeypatch.setattr(protocol, "_rewrite_stage", wrong)
 
@@ -187,7 +188,7 @@ def test_brain_state_refuses_amplitudes_that_share_a_cat_value(monkeypatch):
     def onto_the_cat(layout, encoding):
         stage = build(layout, encoding)
         back = GateSpec.cnot(layout.qubits("A")[0], layout.qubits("C")[0])
-        return stage._replace(gates=stage.gates + [back])
+        return stage._replace(gates=(*stage.gates, back))
 
     monkeypatch.setattr(protocol, "_clinic_stage", onto_the_cat)
     with pytest.raises(AssertionError, match="share a cat value"):

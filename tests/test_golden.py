@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from realitysteer import protocol, statevec
 from realitysteer.cli import (
     RunConfig,
     canonical_payload_bytes,
@@ -98,3 +99,33 @@ def test_per_trial_payload_digest(name, tmp_path):
 
 def test_every_config_is_pinned():
     assert sorted(path.name for path in CONFIG_DIR.glob("*.json")) == sorted(DIGESTS)
+
+
+# Layouts, stages and compiled relabellings are cached per register shape.
+SHAPE_CACHES = {"_shape_layout", "_observe_stage", "_spread_stage", "_clinic_stage",
+                "_conditional_clinic_stage", "_rewrite_stage", "_cached_permutation_pairs"}
+
+
+@pytest.mark.parametrize("name, shapes", [("env_sweep.json", 3), ("lambda_sweep.json", 1)])
+def test_warm_and_cold_caches_give_the_same_bytes(name, shapes, tmp_path):
+    """A sweep run with every shape cache cleared, then again with the caches
+    filled: ``env_sweep.json`` has a new shape at every point,
+    ``lambda_sweep.json`` one shape at every point."""
+    caches = {key: value for module in (protocol, statevec)
+              for key, value in vars(module).items() if hasattr(value, "cache_clear")}
+    assert set(caches) == SHAPE_CACHES
+    config = parse_config(str(CONFIG_DIR / name))
+    payloads, layouts_built = [], []
+    for run in ("cold", "warm"):
+        if run == "cold":
+            for cache in caches.values():
+                cache.cache_clear()
+        out = tmp_path / f"{run}.json"
+        assert cmd_sweep(config, out=str(out)) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
+        payloads.append(canonical_payload_bytes(payload))
+        layouts_built.append(protocol._shape_layout.cache_info().misses)
+    # The cold run laid out each shape once; the warm run laid out none.
+    assert layouts_built == [shapes, shapes]
+    assert payloads[0] == payloads[1]
+    assert hashlib.sha256(payloads[0]).hexdigest() == DIGESTS[name]

@@ -9,6 +9,8 @@ from realitysteer import (
     Participation,
     RecordEncoding,
     RegisterLayout,
+    Scenario,
+    TrialEngine,
     apply_gate,
     basis_index,
     born_probabilities,
@@ -21,6 +23,7 @@ from realitysteer import (
     nonlinear_probabilities,
     observe,
     partial_trace,
+    permute,
     prepare_cat,
     purity,
     record_value,
@@ -31,10 +34,18 @@ from realitysteer import (
     scenario_layout,
     spread_to_environment,
     von_neumann_entropy,
+    protocol,
 )
-from realitysteer.protocol import _decoupling_metrics, _haar_encodings
+from realitysteer.protocol import _apply_stage, _cat_indices, _decoupling_metrics, _haar_encodings
 from realitysteer.seeding import as_generator
-from conftest import brute_partial_trace, dense_decoupling_metrics, haar_unitary
+from realitysteer.statevec import BasisState
+from conftest import (
+    brute_image,
+    brute_partial_trace,
+    brute_permutation,
+    dense_decoupling_metrics,
+    haar_unitary,
+)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -697,3 +708,124 @@ def test_decoupling_structured_encodings_match_the_dense_oracle(n):
             assert abs(result.conditional_trace_distance
                        - expected.conditional_trace_distance) < 1e-12, (name, k)
             assert result.feasible == expected.feasible, (name, k)
+
+
+# Layouts and stages are built once per register shape: the layout, the
+# encoding, the observation variant, the participation and the branch counts.
+# No cache key holds the weights or the seed.
+
+
+def engine_stages(scenario):
+    """The layout and what each stage builder gives for ``scenario``."""
+    layout = scenario_layout(scenario)
+    structure = scenario.branch_structure
+    return {
+        "layout": layout,
+        "observe": protocol._observe_stage(layout, scenario.observe_variant, scenario.encoding),
+        "spread": protocol._spread_stage(layout, scenario.env_qubits - 1),
+        "clinic": protocol._clinic_stage(layout, scenario.encoding),
+        "conditional_clinic": protocol._conditional_clinic_stage(
+            layout, structure.num_alive, structure.num_dead, scenario.participation,
+            scenario.encoding,
+        ),
+        "rewrite": protocol._rewrite_stage(layout, scenario.encoding),
+    }
+
+
+SHAPE = dict(branch_structure=BranchStructure.equal(2, 2), env_qubits=3,
+             encoding=RecordEncoding.TAGGED, observe_variant="b",
+             participation=Participation.DEAD_ONLY)
+EVERY_BUILD = {"layout", "observe", "spread", "clinic", "conditional_clinic", "rewrite"}
+
+
+class TestShapeCaches:
+    def test_one_shape_shares_its_layout_and_stages(self):
+        weights = np.array([0.1, 0.7j, -0.5, 0.5 + 0.2j])
+        other = BranchStructure(2, 2, weights / np.linalg.norm(weights))
+        first = Scenario(**SHAPE, rng_seed=1)
+        second = Scenario(**{**SHAPE, "branch_structure": other}, rng_seed=99)
+        built, again = engine_stages(first), engine_stages(second)
+        assert all(built[key] is again[key] for key in EVERY_BUILD)
+        assert TrialEngine(first).layout is TrialEngine(second).layout
+
+    @pytest.mark.parametrize("change, moved", [
+        ({"env_qubits": 4}, EVERY_BUILD),
+        ({"encoding": RecordEncoding.PLAIN}, EVERY_BUILD),
+        ({"observe_variant": "c"}, {"observe"}),
+        ({"participation": Participation.ALIVE_ONLY}, {"conditional_clinic"}),
+        # One cat width, other counts: the layout stays, the flag gates move.
+        ({"branch_structure": BranchStructure.equal(1, 3)}, {"conditional_clinic"}),
+        ({"branch_structure": BranchStructure.equal(1, 1)}, EVERY_BUILD),
+    ], ids=["env_qubits", "encoding", "observe_variant", "participation",
+            "branch_counts", "cat_width"])
+    def test_each_shape_key_gives_new_objects_to_what_reads_it(self, change, moved):
+        base = engine_stages(Scenario(**SHAPE))
+        changed = engine_stages(Scenario(**{**SHAPE, **change}))
+        assert {key for key in EVERY_BUILD if changed[key] is not base[key]} == moved
+
+    def test_stage_gates_are_tuples(self):
+        for key, stage in engine_stages(Scenario(**SHAPE)).items():
+            if key != "layout":
+                assert type(stage.gates) is tuple, key
+
+
+def _max_env_qubits(scenario):
+    """The most environment copies a 22-qubit register holds for this shape."""
+    width = scenario.branch_structure.cat_width
+    fixed = scenario_layout(scenario).total_qubits - width * scenario.env_qubits
+    return (22 - fixed) // width
+
+
+def _dense(state):
+    amps = np.zeros(2**state.num_qubits, dtype=complex)
+    amps[state.indices] = state.amplitudes
+    return amps
+
+
+def _relabelled_checked(state, layout, stage):
+    """``stage`` applied to a basis state as the engine applies it, checked
+    against the brute-force relabelling, and rebuilt through the public,
+    fully checked ``BasisState`` constructor."""
+    n = state.num_qubits
+    out = _apply_stage(state, layout, stage)
+    assert out.indices.tolist() == [brute_image(i, n, stage.gates) for i in state.indices.tolist()]
+    assert np.array_equal(out.amplitudes, state.amplitudes)
+    if n <= 10:
+        assert np.array_equal(_dense(out), brute_permutation(_dense(state), n, stage.gates))
+    public = permute(state, stage.gates)
+    rebuilt = BasisState(out.indices, out.amplitudes, out.num_qubits)
+    for other in (public, rebuilt):
+        assert other.num_qubits == out.num_qubits
+        assert other.indices.dtype == out.indices.dtype == np.int64
+        assert np.array_equal(other.indices, out.indices)
+        assert np.array_equal(other.amplitudes, out.amplitudes)
+    assert not out.indices.flags.writeable and not out.amplitudes.flags.writeable
+    return out
+
+
+@pytest.mark.parametrize("participation", list(Participation), ids=lambda p: p.value)
+@pytest.mark.parametrize("variant", "abc")
+@pytest.mark.parametrize("counts", [(1, 1), (2, 2)], ids=["2_branches", "4_branches"])
+@pytest.mark.parametrize("encoding", list(RecordEncoding), ids=lambda e: e.value)
+def test_relabelling_skips_only_checks_it_cannot_fail(encoding, counts, variant, participation):
+    """Every stage builder, at 1 and 2 environment copies and at the widest
+    register the budget allows: the relabelled state equals the brute-force
+    permutation, and the public constructor, with all its checks, accepts it."""
+    rng = np.random.default_rng(20261020)
+    n = sum(counts)
+    weights = rng.uniform(0.1, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
+    shape = dict(branch_structure=BranchStructure(*counts, weights / np.linalg.norm(weights)),
+                 encoding=encoding, observe_variant=variant, participation=participation)
+    widest = _max_env_qubits(Scenario(**shape))
+    for env_qubits in (1, 2, widest):
+        scenario = Scenario(**shape, env_qubits=env_qubits)
+        layout = scenario_layout(scenario)
+        stages = engine_stages(scenario)
+        structure = scenario.branch_structure
+        state = BasisState(_cat_indices(structure, layout), structure.weights, layout.total_qubits)
+        state = _relabelled_checked(state, layout, stages["observe"])
+        state = _relabelled_checked(state, layout, stages["spread"])
+        for erase in ("clinic", "conditional_clinic"):
+            erased = _relabelled_checked(state, layout, stages[erase])
+            _relabelled_checked(erased, layout, stages["rewrite"])
+    assert layout.total_qubits >= 21
