@@ -91,8 +91,8 @@ MAX_RECORD_QUBITS = 12  # the decoupling diagnostic's dense 2^n x 2^n Ginibre dr
 DECOUPLING_FEASIBLE_THRESHOLD = 0.5
 RECORD_TOL = 1e-9  # the engine's record checks: brain mass off the records, pinned reads
 # Layouts and stages are cached per register shape.  One process meets few
-# shapes (a sweep over every env_qubits value the budget allows has 21), so
-# each cache keeps at most this many.
+# shapes (a sweep over every env_qubits value the budget allows meets 18),
+# so each cache keeps at most this many.
 _SHAPES_KEPT = 64
 
 

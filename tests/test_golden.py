@@ -115,11 +115,10 @@ def test_warm_and_cold_caches_give_the_same_bytes(name, shapes, tmp_path):
               for key, value in vars(module).items() if hasattr(value, "cache_clear")}
     assert set(caches) == SHAPE_CACHES
     config = parse_config(str(CONFIG_DIR / name))
+    for cache in caches.values():
+        cache.cache_clear()
     payloads, layouts_built = [], []
     for run in ("cold", "warm"):
-        if run == "cold":
-            for cache in caches.values():
-                cache.cache_clear()
         out = tmp_path / f"{run}.json"
         assert cmd_sweep(config, out=str(out)) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
