@@ -83,42 +83,119 @@ def derive_seeds(base_seed: int, first: int, count: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _seed_sequence_state(seeds: np.ndarray) -> list:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` per seed, as four
-    uint64 columns.  uint32 arrays wrap mod 2**32 like the reference."""
-    hash_const = _INIT_A
+def _hash_schedule(init: int, mult: int, count: int) -> list:
+    """The first ``count + 1`` values of a SeedSequence hash constant, which
+    starts at ``init`` and is multiplied by ``mult`` (mod 2**32) per use."""
+    schedule = [init]
+    for _ in range(count):
+        schedule.append((schedule[-1] * mult) & _MASK32)
+    return schedule
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
 
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> np.uint32(16))
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32).reshape(-1, 1)
 
+
+def _hashmix_constants():
+    """Per hashmix call ``k`` of ``SeedSequence.mix_entropy``, its xor and
+    multiplier ``(schedule[k], schedule[k + 1])``, as ``(rows, 1)`` columns:
+    the two entropy words, the two zero pad words hashed outright, and per
+    source word of the pool mix, one row per destination word in the order
+    ``_seed_sequence_state`` keeps its pool."""
+    schedule = _hash_schedule(_INIT_A, _MULT_A, 4 * _POOL_SIZE)
+
+    def hashmix(value, k):
+        value = ((value ^ schedule[k]) * schedule[k + 1]) & _MASK32
+        return value ^ (value >> 16)
+
+    entropy = (_column(schedule[0:2]), _column(schedule[1:3]))
+    pad = _column([hashmix(0, 2), hashmix(0, 3)])
+    mixing = []
+    for src in range(_POOL_SIZE):
+        # Call 4 + 3 * src + j hashes the source for its j-th destination in
+        # index order; the pool holds the destinations as rows src+1.. mod 4.
+        dsts = [(src + step) % _POOL_SIZE for step in range(1, _POOL_SIZE)]
+        calls = [4 + 3 * src + sorted(dsts).index(dst) for dst in dsts]
+        mixing.append((_column([schedule[k] for k in calls]), _column([schedule[k + 1] for k in calls])))
+    return entropy, pad, tuple(mixing)
+
+
+_ENTROPY_HASH, _PAD_WORDS, _MIX_HASH = _hashmix_constants()
+# generate_state hashes pool word i % 4 into output word i with the i-th
+# constant of the INIT_B schedule; as a (2, 4, 1) block over the pool.
+_OUTPUT_SCHEDULE = _hash_schedule(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_OUTPUT_HASH = tuple(
+    np.array(values, dtype=np.uint32).reshape(2, _POOL_SIZE, 1)
+    for values in (_OUTPUT_SCHEDULE[:-1], _OUTPUT_SCHEDULE[1:])
+)
+_MIX_L, _MIX_R, _SHIFT16 = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R), np.uint32(16)
+# Seeds hashed per pass.  The scratch block takes 64 bytes per seed, so one
+# pass stays near a core's L2 cache; larger inputs go through in blocks.
+_SEEDS_PER_PASS = 32768
+
+
+def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` per seed, as the
+    rows of a ``(4, n)`` uint64 array.  uint32 arrays wrap mod 2**32 like the
+    reference; every ufunc writes into preallocated rows."""
+    count = seeds.shape[0]
+    state = np.empty((_POOL_SIZE, count), dtype=np.uint64)
+    width = min(count, _SEEDS_PER_PASS)
+    buffers = np.empty((4, _POOL_SIZE, width), dtype=np.uint32)
+    for start in range(0, count, _SEEDS_PER_PASS):
+        block = seeds[start:start + _SEEDS_PER_PASS]
+        _hash_block(block, buffers[..., :block.shape[0]], state[:, start:start + block.shape[0]])
+    return state
+
+
+def _hash_block(seeds, buffers, out):
+    """``_seed_sequence_state`` of one block of seeds into ``out``, with
+    ``buffers`` a ``(4, 4, n)`` uint32 scratch block."""
+    pool, other, words = buffers[0], buffers[1], buffers[2:]
     # A seed below 2**32 is one entropy word; SeedSequence pads the pool with
     # hashmix(0), which is what a zero high word gives.
-    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    high = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros_like(low)
-    pool = [hashmix(word) for word in (low, high, zero, zero)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    entropy, scratch = pool[:2], other[:2]
+    np.copyto(entropy[0], seeds, casting="unsafe")
+    np.right_shift(seeds, np.uint64(32), out=entropy[1], casting="unsafe")
+    xor, mult = _ENTROPY_HASH
+    np.bitwise_xor(entropy, xor, out=entropy)
+    np.multiply(entropy, mult, out=entropy)
+    np.right_shift(entropy, _SHIFT16, out=scratch)
+    np.bitwise_xor(entropy, scratch, out=entropy)
+    pool[2:] = _PAD_WORDS
 
-    hash_const = _INIT_B
-    words = []
-    for index in range(2 * _POOL_SIZE):
-        value = pool[index % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # Source word src updates each other word dst to mix(dst, hashmix(src)).
+    # With the source in row 0 and the destinations in rows 1..3, all three
+    # are one (3, n) op.  The updated words go to rows 0..2 of the other
+    # buffer and the source to its row 3, so the next source is row 0 again;
+    # after four steps the rows are back in index order.
+    hashed = words[0, :-1]
+    for xor, mult in _MIX_HASH:
+        mixed = other[:-1]
+        np.bitwise_xor(pool[0], xor, out=hashed)
+        np.multiply(hashed, mult, out=hashed)
+        np.right_shift(hashed, _SHIFT16, out=mixed)
+        np.bitwise_xor(hashed, mixed, out=hashed)
+        np.multiply(hashed, _MIX_R, out=hashed)
+        np.multiply(pool[1:], _MIX_L, out=mixed)
+        np.subtract(mixed, hashed, out=mixed)
+        np.right_shift(mixed, _SHIFT16, out=hashed)
+        np.bitwise_xor(mixed, hashed, out=mixed)
+        other[-1] = pool[0]
+        pool, other = other, pool
+
+    # Output word 4 * j + i hashes pool word i; words[j, i] holds it.
+    xor, mult = _OUTPUT_HASH
+    np.bitwise_xor(pool, xor, out=words)
+    np.multiply(words, mult, out=words)
+    for half in words:
+        np.right_shift(half, _SHIFT16, out=other)
+        np.bitwise_xor(half, other, out=half)
     # generate_state views pairs of 32-bit words as little-endian uint64.
-    return [words[k] | (words[k + 1] << np.uint64(32)) for k in range(0, 8, 2)]
+    pairs = words.reshape(_POOL_SIZE, 2, -1)
+    np.copyto(out, pairs[:, 1])
+    np.left_shift(out, np.uint64(32), out=out)
+    np.bitwise_or(out, pairs[:, 0], out=out)
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:

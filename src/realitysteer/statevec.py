@@ -531,11 +531,19 @@ def _check_filter_weight(name: str, weight, born=None) -> None:
 
 def _bit_values(indices: np.ndarray, num_qubits: int, qubits) -> np.ndarray:
     """Each index's value on the listed qubits, read in listed order, the
-    first listed qubit as the most significant bit."""
-    values = np.zeros_like(indices)
+    first listed qubit as the most significant bit.  Each maximal run of
+    ascending consecutive qubits is read with one shift and mask."""
+    runs = []  # (last qubit, width) per run
     for qubit in qubits:
-        values = (values << 1) | ((indices >> (num_qubits - 1 - qubit)) & 1)
-    return values
+        if runs and qubit == runs[-1][0] + 1:
+            runs[-1] = (qubit, runs[-1][1] + 1)
+        else:
+            runs.append((qubit, 1))
+    values = None
+    for last, width in runs:
+        run = (indices >> (num_qubits - 1 - last)) & ((1 << width) - 1)
+        values = run if values is None else (values << width) | run
+    return np.zeros_like(indices) if values is None else values
 
 
 def _permutation_pairs(gates, num_qubits: int) -> tuple:

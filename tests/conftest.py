@@ -44,6 +44,15 @@ def assemble_index(num_qubits, groups):
     return index
 
 
+def brute_bit_values(indices, num_qubits, qubits):
+    """Each index's value on the listed qubits, one qubit at a time, the
+    first listed qubit as the most significant bit."""
+    values = np.zeros_like(indices)
+    for qubit in qubits:
+        values = (values << 1) | ((indices >> (num_qubits - 1 - qubit)) & 1)
+    return values
+
+
 def brute_partial_trace(amplitudes, num_qubits, keep_qubits):
     """Partial trace by summation over explicit basis indices."""
     keep = list(keep_qubits)

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +457,96 @@ class TestReportBytes:
             b"0.300000 (predicted 0.300000, marginal error 0.00e+00); violation "
             b"witnessed, passes ABOVE tolerance\"\r\n"
         )
+
+
+class FixedClock:
+    """Stands in for ``cli.datetime`` so two writes of one run match byte for byte."""
+
+    @staticmethod
+    def now(tz):
+        return datetime(2026, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+
+
+class TestReportFiles:
+    """An existing report is overwritten in place and cut to the new length;
+    FIFOs and devices are written as streams."""
+
+    PER_TRIAL_4000 = dict(CANONICAL, num_trials=4000, emit_per_trial=True)
+
+    def run(self, tmp_path, document, out, *options):
+        path = write_config(tmp_path, "c.json", document)
+        assert main(["run", path, "--out", str(out), *options]) == 0
+
+    def test_shorter_json_report_over_a_longer_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "datetime", FixedClock)
+        reused, fresh = tmp_path / "reused.json", tmp_path / "fresh.json"
+        self.run(tmp_path, self.PER_TRIAL_4000, reused)
+        longer = reused.stat().st_size
+        self.run(tmp_path, CANONICAL, reused)
+        self.run(tmp_path, CANONICAL, fresh)
+        assert reused.stat().st_size < longer
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("older", ["per-trial-json", "sweep-csv"])
+    def test_shorter_csv_report_over_a_longer_one(self, tmp_path, older):
+        reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
+        if older == "per-trial-json":
+            self.run(tmp_path, self.PER_TRIAL_4000, reused)
+        else:
+            sweep = write_config(tmp_path, "s.json", dict(
+                CANONICAL, sweep={"axis": "lambda", "values": [0.1 * k for k in range(1, 40)],
+                                  "trials_per_point": 10}))
+            assert main(["sweep", sweep, "--format", "csv", "--out", str(reused)]) == 0
+        longer = reused.stat().st_size
+        self.run(tmp_path, CANONICAL, reused, "--format", "csv")
+        self.run(tmp_path, CANONICAL, fresh, "--format", "csv")
+        assert reused.stat().st_size < longer
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_report_to_dev_null(self, tmp_path):
+        self.run(tmp_path, self.PER_TRIAL_4000, os.devnull)
+        self.run(tmp_path, CANONICAL, os.devnull, "--format", "csv")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_report_to_a_fifo(self, tmp_path):
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        self.run(tmp_path, self.PER_TRIAL_4000, fifo)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        document = json.loads(received[0])
+        assert len(document["payload"]["per_trial"]) == 4000
+
+    def test_failed_write_leaves_a_prefix_of_the_new_document(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "datetime", FixedClock)
+        out, fresh = tmp_path / "r.json", tmp_path / "fresh.json"
+        document = dict(CANONICAL, num_trials=40, emit_per_trial=True)
+        self.run(tmp_path, document, fresh)
+        self.run(tmp_path, self.PER_TRIAL_4000, out)
+
+        def failing(handle, batch):
+            raise RuntimeError("injected write failure")
+
+        monkeypatch.setattr(cli, "_write_per_trial", failing)
+        config = parse_config(write_config(tmp_path, "c.json", document))
+        with pytest.raises(RuntimeError, match="injected"):
+            cmd_run(config, out=str(out))
+        expected = fresh.read_bytes()
+        head = expected[:expected.index(b'"per_trial": ') + len(b'"per_trial": ')]
+        assert out.read_bytes() == head
+
+    def test_new_report_mode_follows_the_umask(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            self.run(tmp_path, CANONICAL, tmp_path / "r.json")
+            with open(tmp_path / "plain.json", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "r.json").stat().st_mode == (tmp_path / "plain.json").stat().st_mode
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

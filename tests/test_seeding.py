@@ -19,7 +19,8 @@ from realitysteer import (
     run_ensemble,
     run_trial,
 )
-from realitysteer.seeding import derive_seeds, first_two_uniforms, generators
+from realitysteer import seeding
+from realitysteer.seeding import _seed_sequence_state, derive_seeds, first_two_uniforms, generators
 
 BASES = (20260810, -987654321)
 COUNT = 20_000
@@ -46,6 +47,31 @@ def test_first_two_uniforms_match_default_rng(base):
     reference = np.array([np.random.default_rng(int(s)).random(2) for s in seeds])
     assert np.array_equal(first, reference[:, 0])
     assert np.array_equal(second, reference[:, 1])
+
+
+def _reference_states(seeds):
+    return np.array(
+        [np.random.SeedSequence(int(s)).generate_state(4, np.uint64) for s in seeds],
+        dtype=np.uint64,
+    ).reshape(len(seeds), 4).T
+
+
+@pytest.mark.parametrize("seeds", [
+    *(derive_seeds(BASES[0], 0, n) for n in (0, 1, 2, 3)), np.array(EDGE_SEEDS, dtype=np.uint64),
+], ids=["n0", "n1", "n2", "n3", "edge"])
+def test_seed_sequence_state_matches_generate_state(seeds):
+    """The stacked hash, checked directly: a swapped precomputed constant
+    changes every pool word of every seed."""
+    got = _seed_sequence_state(seeds)
+    assert got.dtype == np.uint64 and got.shape == (4, len(seeds))
+    assert np.array_equal(got, _reference_states(seeds))
+
+
+def test_seed_sequence_state_across_passes(monkeypatch):
+    """Inputs longer than one pass are hashed in blocks, the last one short."""
+    monkeypatch.setattr(seeding, "_SEEDS_PER_PASS", 4)
+    seeds = np.concatenate([derive_seeds(BASES[1], 0, 5), np.array(EDGE_SEEDS, dtype=np.uint64)])
+    assert np.array_equal(_seed_sequence_state(seeds), _reference_states(seeds))
 
 
 def _draws(gen, index):

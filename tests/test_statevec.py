@@ -25,9 +25,9 @@ from realitysteer import (
     trace_distance,
     von_neumann_entropy,
 )
-from realitysteer.statevec import _check_norm
+from realitysteer.statevec import _bit_values, _check_norm
 
-from conftest import brute_partial_trace, brute_partial_trace_dm, brute_permutation
+from conftest import brute_bit_values, brute_partial_trace, brute_partial_trace_dm, brute_permutation
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -207,6 +207,44 @@ def test_permutation_gates_match_bit_oracle(circuit):
     for gate in gates:
         state = apply_gate(state, gate)
     assert np.array_equal(state.amplitudes, expected)
+
+
+@st.composite
+def qubit_lists(draw):
+    """A register of 1-22 qubits and a list of its qubits: a contiguous run,
+    ascending with gaps, descending, a single qubit, none, or any order."""
+    n = draw(st.integers(1, 22))
+    shape = draw(st.sampled_from(["contiguous", "gapped", "descending", "single", "empty", "any"]))
+    if shape == "contiguous":
+        start = draw(st.integers(0, n - 1))
+        qubits = list(range(start, draw(st.integers(start + 1, n))))
+    elif shape in ("gapped", "descending"):
+        qubits = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)), reverse=shape == "descending")
+    elif shape == "single":
+        qubits = [draw(st.integers(0, n - 1))]
+    elif shape == "empty":
+        qubits = []
+    else:
+        qubits = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    indices = np.array(draw(st.lists(st.integers(0, 2**n - 1), max_size=40)), dtype=np.intp)
+    return n, qubits, indices
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=qubit_lists())
+def test_bit_values_match_the_per_qubit_rule(case):
+    n, qubits, indices = case
+    got = _bit_values(indices, n, qubits)
+    assert got.dtype == indices.dtype
+    assert np.array_equal(got, brute_bit_values(indices, n, qubits))
+
+
+@pytest.mark.parametrize("qubits", [
+    [], [5], [0, 1, 2], [2, 1, 0], [0, 2, 3, 7], [3, 4, 0, 1], [21], list(range(22)),
+], ids=["empty", "single", "contiguous", "descending", "gapped", "two-runs", "last", "all"])
+def test_bit_values_on_every_22_qubit_pattern(qubits):
+    indices = np.random.default_rng(3).integers(0, 2**22, 500)
+    assert np.array_equal(_bit_values(indices, 22, qubits), brute_bit_values(indices, 22, qubits))
 
 
 @pytest.mark.parametrize("gate", [
