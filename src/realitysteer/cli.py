@@ -37,9 +37,7 @@ A run's ``per_trial`` rows are written from ``TrialBatch.outcomes()``, each
 distinct report serialized once, with the bytes that
 ``canonical_payload_bytes`` gives for ``TrialBatch.rows()``.  The rows go
 straight to the open report between the document's two halves, in fixed
-chunks of trials, so no copy of the whole document is ever built.  An
-existing report file is overwritten in place and cut to the new length
-(``_open_report``).
+chunks of trials, so no copy of the whole document is ever built.
 """
 
 import argparse
@@ -47,9 +45,7 @@ import csv
 import json
 import math
 import os
-import stat
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
@@ -310,42 +306,10 @@ def canonical_payload_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, indent=2).encode("utf-8")
 
 
-@contextmanager
 def _open_report(path: str, mode: str, **kwargs):
-    """Open a report file for writing, creating its directory if the open
-    finds it missing, and yield the file object.
-
-    A new file is created as ``open`` creates it.  An existing regular file
-    is overwritten in place rather than truncated to zero first (on ext4 a
-    file truncated to zero is flushed to disk when it is closed), and is cut
-    at the final write position when the body exits, whether it returned or
-    raised, so a shorter report leaves no tail of the old one.  A FIFO or a
-    device such as ``/dev/null`` is written as a stream and never cut."""
-    cut = False
-
-    def opener(path: str, flags: int) -> int:
-        # ``open``'s own flags and 0o666 before the umask.  ``O_EXCL`` tells a
-        # new file apart without a further call; only an existing one is
-        # opened without ``O_TRUNC``.
-        nonlocal cut
-        try:
-            return os.open(path, flags | os.O_EXCL, 0o666)
-        except FileExistsError:
-            fd = os.open(path, flags & ~os.O_TRUNC, 0o666)
-            cut = stat.S_ISREG(os.fstat(fd).st_mode)
-            return fd
-
-    try:
-        handle = open(path, mode, opener=opener, **kwargs)
-    except FileNotFoundError:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        handle = open(path, mode, opener=opener, **kwargs)
-    with handle:
-        try:
-            yield handle
-        finally:
-            if cut:
-                handle.truncate()
+    """Open a report file for writing, creating its directory first."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, mode, **kwargs)
 
 
 # Holds the place of the per-trial array while the rest of a report is

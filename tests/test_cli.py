@@ -468,40 +468,14 @@ class FixedClock:
 
 
 class TestReportFiles:
-    """An existing report is overwritten in place and cut to the new length;
-    FIFOs and devices are written as streams."""
+    """Reports written to a device, to a FIFO, and over a longer report by a
+    write that fails."""
 
     PER_TRIAL_4000 = dict(CANONICAL, num_trials=4000, emit_per_trial=True)
 
     def run(self, tmp_path, document, out, *options):
         path = write_config(tmp_path, "c.json", document)
         assert main(["run", path, "--out", str(out), *options]) == 0
-
-    def test_shorter_json_report_over_a_longer_one(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "datetime", FixedClock)
-        reused, fresh = tmp_path / "reused.json", tmp_path / "fresh.json"
-        self.run(tmp_path, self.PER_TRIAL_4000, reused)
-        longer = reused.stat().st_size
-        self.run(tmp_path, CANONICAL, reused)
-        self.run(tmp_path, CANONICAL, fresh)
-        assert reused.stat().st_size < longer
-        assert reused.read_bytes() == fresh.read_bytes()
-
-    @pytest.mark.parametrize("older", ["per-trial-json", "sweep-csv"])
-    def test_shorter_csv_report_over_a_longer_one(self, tmp_path, older):
-        reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
-        if older == "per-trial-json":
-            self.run(tmp_path, self.PER_TRIAL_4000, reused)
-        else:
-            sweep = write_config(tmp_path, "s.json", dict(
-                CANONICAL, sweep={"axis": "lambda", "values": [0.1 * k for k in range(1, 40)],
-                                  "trials_per_point": 10}))
-            assert main(["sweep", sweep, "--format", "csv", "--out", str(reused)]) == 0
-        longer = reused.stat().st_size
-        self.run(tmp_path, CANONICAL, reused, "--format", "csv")
-        self.run(tmp_path, CANONICAL, fresh, "--format", "csv")
-        assert reused.stat().st_size < longer
-        assert reused.read_bytes() == fresh.read_bytes()
 
     def test_report_to_dev_null(self, tmp_path):
         self.run(tmp_path, self.PER_TRIAL_4000, os.devnull)
@@ -537,16 +511,6 @@ class TestReportFiles:
         expected = fresh.read_bytes()
         head = expected[:expected.index(b'"per_trial": ') + len(b'"per_trial": ')]
         assert out.read_bytes() == head
-
-    def test_new_report_mode_follows_the_umask(self, tmp_path):
-        previous = os.umask(0o027)
-        try:
-            self.run(tmp_path, CANONICAL, tmp_path / "r.json")
-            with open(tmp_path / "plain.json", "w"):
-                pass
-        finally:
-            os.umask(previous)
-        assert (tmp_path / "r.json").stat().st_mode == (tmp_path / "plain.json").stat().st_mode
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
