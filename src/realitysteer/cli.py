@@ -388,7 +388,9 @@ def cmd_run(config: RunConfig, out: "str | None" = None, threads: int = 1,
         "summary": summary,
     }
     path = out or config.output_path or "run_report.json"
-    rows = [[key, json.dumps(value, sort_keys=True)] for key, value in sorted(summary.items())]
+    rows = None
+    if fmt == "csv":
+        rows = [[key, json.dumps(value, sort_keys=True)] for key, value in sorted(summary.items())]
     per_trial = batch if config.emit_per_trial else None
     _write_report(path, fmt, payload, ["quantity", "value"], rows, per_trial)
     post = summary["post_outcome_frequencies"]

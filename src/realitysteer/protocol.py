@@ -33,8 +33,10 @@ the encoding, the observation variant, the participation and the branch
 counts, never on the weights or the seed, so scenarios of one shape share
 their layout and stages.  These gates only relabel basis states, so the
 register holds one amplitude per branch however many qubits it has.  The
-public stage functions apply the gates to a dense ``StateVector``;
-``TrialEngine`` applies the same gates to a ``BasisState``.
+public stage functions apply the gates to a dense ``StateVector``.
+``TrialEngine`` runs the same stages on the cat's basis indices alone, once
+per register shape, into an engine plan (``_engine_plan``) of which indices
+each read sees; a build weighs the scenario's amplitudes against it.
 """
 
 import functools
@@ -58,23 +60,26 @@ from .seeding import (
 from .statevec import (
     _FIXED_GATES,
     NORM_TOL,
-    BasisState,
     DensityMatrix,
     GateSpec,
     RegisterLayout,
     StateVector,
     _bit_values,
+    _born_table,
+    _check_basis_indices,
     _check_filter_weight,
+    _check_norm,
     _count,
     _cached_permutation_pairs,
+    _filtered_amplitudes,
     _frozen_array,
+    _projection_weight,
     _relabel,
+    _relabelled,
     _squared_norm,
     apply_gate,
     basis_born_probabilities,
-    basis_filter,
     basis_index,
-    basis_project_onto,
     born_probabilities,
     project_onto,
     purity,
@@ -291,17 +296,22 @@ class _Stage(NamedTuple):
     gates: tuple
 
 
+def _check_blank(stage_name: str, name: str, table: np.ndarray) -> None:
+    """Refuse a stage unless register ``name``, whose Born table is
+    ``table``, reads 0 with probability 1, within ``NORM_TOL``."""
+    if abs(table[0] - 1.0) > NORM_TOL:
+        raise ValueError(f"{stage_name}: register {name!r} is not blank")
+
+
 def _apply_stage(state, layout: RegisterLayout, stage: _Stage):
-    """Refuse the stage unless each register it needs blank reads 0 with
-    probability 1, within ``NORM_TOL``; then apply its gates: gate by gate
-    to a ``StateVector``, as one relabelling to a ``BasisState``.  The
-    relabelling's ``(mask, flip)`` pairs are compiled from ``stage.gates``
-    once per gate tuple and register size."""
+    """Refuse the stage unless each register it needs blank is blank; then
+    apply its gates: gate by gate to a ``StateVector``, as one relabelling to
+    a ``BasisState``.  The relabelling's ``(mask, flip)`` pairs are compiled
+    from ``stage.gates`` once per gate tuple and register size."""
     dense = isinstance(state, StateVector)
     born = born_probabilities if dense else basis_born_probabilities
     for name in stage.blank:
-        if abs(born(state, layout, name)[0] - 1.0) > NORM_TOL:
-            raise ValueError(f"{stage.name}: register {name!r} is not blank")
+        _check_blank(stage.name, name, born(state, layout, name))
     if not dense:
         return _relabel(state, _cached_permutation_pairs(stage.gates, state.num_qubits))
     for gate in stage.gates:
@@ -459,8 +469,7 @@ def conditional_clinic(state: StateVector, layout: RegisterLayout,
 
 
 def _recorded_state(scenario: Scenario, layout: RegisterLayout, cat):
-    """The prepared ``cat`` (a ``StateVector`` or ``BasisState``) observed
-    into B and E1, then spread into every further environment copy: the
+    """The prepared ``cat`` observed into B and E1, then spread into every further environment copy: the
     state every erase starts from."""
     state = _apply_stage(cat, layout, _observe_stage(layout, scenario.observe_variant, scenario.encoding))
     return _apply_stage(state, layout, _spread_stage(layout, scenario.env_qubits - 1))
@@ -477,13 +486,6 @@ def rewrite_record(state: StateVector, layout: RegisterLayout, encoding: RecordE
     return _apply_stage(state, layout, _rewrite_stage(layout, encoding))
 
 
-def _recouple_patient(state, layout: RegisterLayout, encoding: RecordEncoding):
-    """The patient path: condition on the blank-memory observer, then write
-    a fresh record of the cat."""
-    project = project_onto if isinstance(state, StateVector) else basis_project_onto
-    return _apply_stage(project(state, layout, "B", 0), layout, _rewrite_stage(layout, encoding))
-
-
 def reobserve(state: StateVector, layout: RegisterLayout, encoding: RecordEncoding, rng):
     """Fresh record write followed by a Born draw of the brain register.
 
@@ -495,7 +497,7 @@ def reobserve(state: StateVector, layout: RegisterLayout, encoding: RecordEncodi
     blank_mass = float(born_probabilities(state, layout, "B")[0])
     if blank_mass <= NORM_TOL:
         raise ValueError("reobserve: brain register is not blank (erasure incomplete)")
-    recoupled = _recouple_patient(state, layout, encoding)
+    recoupled = rewrite_record(project_onto(state, layout, "B", 0), layout, encoding)
     outcome, post = sample_outcome(recoupled, layout, "B", rng)
     # Tagged records carry the written flag above the branch bits.
     return outcome & ((1 << layout.size("C")) - 1), post
@@ -525,13 +527,126 @@ class TrialReport:
     memory_consistent: bool
 
 
+class _EnginePlan(NamedTuple):
+    """What a register shape fixes of a ``TrialEngine`` build: facts about the
+    stored basis indices, never a weight.  Per-amplitude arrays run in branch
+    order, the order of the cat's amplitudes, which no stage changes; every
+    array is read-only.  A blank check is ``(stage name, register, the
+    register's value per amplitude, its number of values)``."""
+
+    recorded_blanks: tuple  # the observe and spread stages' checks
+    pre_cells: np.ndarray  # each amplitude's (C, B) table cell before the erase
+    erase_blanks: tuple
+    brain: tuple  # (B value, mask of its amplitudes) per value B holds after the erase
+    filter_bits: "np.ndarray | None"  # the filter's target bit after the erase, when filtered
+    stay_cells: np.ndarray  # (C, B) cells after the erase
+    patient: np.ndarray  # mask of the amplitudes whose B is blank after the erase
+    rewrite_blanks: tuple  # on the patient amplitudes
+    patient_cells: np.ndarray  # their (C, B) cells after the rewrite
+    joint_shape: tuple  # the (C, B) table as (cat values, brain values)
+    branches: np.ndarray
+    records: np.ndarray  # each branch's record value
+    labels: tuple
+    participates: np.ndarray
+    cat_after_stay: tuple
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _scenario_plan(scenario: Scenario, layout: RegisterLayout) -> _EnginePlan:
+    """The plan of the scenario's shape, for the stages its builders return."""
+    structure, encoding = scenario.branch_structure, scenario.encoding
+    participation = scenario.participation
+    if participation is Participation.ALL:
+        erase = _clinic_stage(layout, encoding)
+    else:
+        erase = _conditional_clinic_stage(layout, structure.num_alive, structure.num_dead,
+                                          participation, encoding)
+    stages = (_observe_stage(layout, scenario.observe_variant, encoding),
+              _spread_stage(layout, scenario.env_qubits - 1), erase, _rewrite_stage(layout, encoding))
+    return _engine_plan(layout, structure.num_alive, structure.num_dead, encoding, participation,
+                        stages, scenario.nonlinear_lambda is not None)
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _engine_plan(layout: RegisterLayout, num_alive: int, num_dead: int, encoding: RecordEncoding,
+                 participation: Participation, stages: tuple, filtered: bool) -> _EnginePlan:
+    """Run the observe, spread, erase and rewrite ``stages`` on the cat's
+    indices alone, and keep what each weighted read of the build needs.  The
+    index-only checks run here, once per key: the basis states' distinct and
+    in-range indices, and that no two amplitudes share a cat value."""
+    n = layout.total_qubits
+    structure = BranchStructure.equal(num_alive, num_dead)
+    branches = range(structure.num_branches)
+    observe, spread, erase, rewrite = stages
+    cell_qubits = layout.qubits("C") + layout.qubits("B")
+
+    def run(indices, stage):
+        """The stage's blank checks on ``indices``, and the relabelled indices."""
+        checks = tuple(
+            (stage.name, name, _read_only(_bit_values(indices, n, layout.qubits(name))),
+             2 ** layout.size(name))
+            for name in stage.blank
+        )
+        return checks, _relabelled(indices, _cached_permutation_pairs(stage.gates, n))
+
+    indices = np.array(_cat_indices(structure, layout), dtype=np.int64)
+    _check_basis_indices(indices, n)
+    observe_blanks, indices = run(indices, observe)
+    spread_blanks, indices = run(indices, spread)
+    pre_cells = _bit_values(indices, n, cell_qubits)
+    erase_blanks, indices = run(indices, erase)
+    # No stage targets C and each branch starts at its own cat value, so every
+    # stored amplitude is alone in its column of the (B, rest) block: the
+    # brain's reduced state is diagonal.
+    if np.unique(_bit_values(indices, n, layout.qubits("C"))).size != indices.size:
+        raise AssertionError("two stored amplitudes share a cat value")
+    brain = _bit_values(indices, n, layout.qubits("B"))
+    filter_bits = None
+    if filtered:
+        filter_bits = _bit_values(indices, n, layout.qubits("A")) == 1  # two branches: one qubit
+    patient = brain == 0
+    patient_indices = indices[patient]
+    _check_basis_indices(patient_indices, n)
+    rewrite_blanks, patient_indices = run(patient_indices, rewrite)
+    participating = structure.branches_in(participation)
+    return _EnginePlan(
+        recorded_blanks=observe_blanks + spread_blanks,
+        pre_cells=_read_only(pre_cells),
+        erase_blanks=erase_blanks,
+        brain=tuple((int(v), _read_only(brain == v)) for v in np.unique(brain)),
+        filter_bits=None if filter_bits is None else _read_only(filter_bits),
+        stay_cells=_read_only(_bit_values(indices, n, cell_qubits)),
+        patient=_read_only(patient),
+        rewrite_blanks=rewrite_blanks,
+        patient_cells=_read_only(_bit_values(patient_indices, n, cell_qubits)),
+        joint_shape=(2 ** layout.size("C"), 2 ** layout.size("B")),
+        branches=_read_only(np.arange(structure.num_branches)),
+        records=_read_only(np.array([record_value(encoding, structure.cat_width, b) for b in branches])),
+        labels=tuple(structure.label(b) for b in branches),
+        participates=_read_only(np.array([b in participating for b in branches])),
+        cat_after_stay=tuple(tuple(1.0 if b == pre else 0.0 for b in branches) for pre in branches),
+    )
+
+
+def _check_blanks(checks: tuple, born: np.ndarray) -> None:
+    """A plan's blank checks, on amplitudes whose squared magnitudes are ``born``."""
+    for stage_name, name, values, size in checks:
+        _check_blank(stage_name, name, _born_table(values, born, size))
+
+
 class TrialEngine:
     """Precomputed trial pipeline for one scenario.
 
     The unitary stages and all state-level diagnostics are seed-independent,
     so they are evaluated once, and the engine keeps only their per-branch
-    tables, never a state.  The pipeline runs on a ``BasisState``: one
-    amplitude per branch, each stage applied as one relabelling.
+    tables, never a state.  The stages only relabel basis states, so which
+    indices the pipeline visits depends on the register shape alone: one
+    ``_EnginePlan`` per shape holds them, and a build weighs the scenario's
+    amplitudes against it, read by read in the pipeline's order.
     ``run(seed)`` draws the observer's pre- and post-branch from those
     tables.  ``run_batch`` draws a range of an ensemble's trials as columns,
     each equal to what ``run`` gives for that trial's seed; ``run(seed)``
@@ -542,39 +657,36 @@ class TrialEngine:
         self.scenario = scenario
         self.layout = layout = scenario_layout(scenario)
         self.structure = structure = scenario.branch_structure
-        encoding = scenario.encoding
-        branches = range(structure.num_branches)
-        records = [record_value(encoding, structure.cat_width, b) for b in branches]
+        plan = _scenario_plan(scenario, layout)
+        self.labels, self.cat_after_stay = plan.labels, plan.cat_after_stay
+        self._participates = plan.participates
 
-        cat = BasisState(_cat_indices(structure, layout), structure.weights, layout.total_qubits)
-        state = _recorded_state(scenario, layout, cat)
-        self.pre_probs, self.cat_before = self._marginals(self._joint(state), records)
+        amps = structure.weights
+        _check_norm(amps)
+        born = np.abs(amps) ** 2
+        _check_blanks(plan.recorded_blanks, born)
+        self.pre_probs, self.cat_before = self._marginals(self._joint(plan, plan.pre_cells, born), plan)
 
-        participating = structure.branches_in(scenario.participation)
-        if scenario.participation is Participation.ALL:
-            erase = _clinic_stage(layout, encoding)
-        else:
-            erase = _conditional_clinic_stage(layout, structure.num_alive, structure.num_dead,
-                                              scenario.participation, encoding)
-        state = _apply_stage(state, layout, erase)
-        brain = self._brain(state)
+        _check_blanks(plan.erase_blanks, born)
+        brain = self._brain(plan, amps)
         self.brain_purity = purity(brain)
         self.brain_entropy = von_neumann_entropy(brain)
 
-        if scenario.nonlinear_lambda is not None:
-            (target,) = layout.qubits("A")  # two branches: a one-qubit ancilla
-            state = basis_filter(state, target, scenario.nonlinear_lambda)
+        weight = scenario.nonlinear_lambda
+        if weight is not None and weight != 1.0:  # weight 1 leaves the state as it is
+            amps = _filtered_amplitudes(amps, plan.filter_bits, weight)
+            _check_norm(amps)
+            born = np.abs(amps) ** 2
 
         # Memory checks per branch b, off a joint (C, B) table: 1 if cell
         # (b, records[b]) holds all but RECORD_TOL of its total, else 0.  -1
         # marks a check never evaluated, where run() raises a KeyError and
         # run_batch a RuntimeError.  A kept record holds its cat row's mass.
         def pinned(evaluated, joint, totals):
-            cells = joint[branches, records] >= (1.0 - RECORD_TOL) * totals
+            cells = joint[plan.branches, plan.records] >= (1.0 - RECORD_TOL) * totals
             return np.where(evaluated, cells, -1).astype(np.int8)
 
-        self._participates = np.array([b in participating for b in branches])
-        joint = self._joint(state)
+        joint = self._joint(plan, plan.stay_cells, born)
         self._ok_stay = pinned(~self._participates & (self.pre_probs > NORM_TOL), joint, joint.sum(axis=1))
 
         # Patient path: condition on the blank-memory observer, re-couple,
@@ -584,39 +696,37 @@ class TrialEngine:
         self.post_probs = self.cat_after_patient = None
         self._ok_patient = np.full(structure.num_branches, -1, dtype=np.int8)
         if self.pre_probs[self._participates].sum() > NORM_TOL:
-            joint = self._joint(_recouple_patient(state, layout, encoding))
-            self.post_probs, self.cat_after_patient = self._marginals(joint, records)
+            kept = amps[plan.patient]
+            kept = kept / np.sqrt(_projection_weight(kept, "B", 0))
+            _check_norm(kept)
+            born = np.abs(kept) ** 2
+            _check_blanks(plan.rewrite_blanks, born)
+            joint = self._joint(plan, plan.patient_cells, born)
+            self.post_probs, self.cat_after_patient = self._marginals(joint, plan)
             self._ok_patient = pinned(self.post_probs > NORM_TOL, joint, self.post_probs)
 
-        self.labels = tuple(structure.label(b) for b in branches)
-        self.cat_after_stay = tuple(
-            tuple(1.0 if b == pre else 0.0 for b in branches) for pre in branches
-        )
         self._pre_cdf = clamped_cdf(self.pre_probs)
         self._post_cdf = None if self.post_probs is None else clamped_cdf(self.post_probs)
 
-    def _joint(self, state: BasisState) -> np.ndarray:
+    def _joint(self, plan: _EnginePlan, cells: np.ndarray, born: np.ndarray) -> np.ndarray:
         """The (C, B) Born table, row b holding cat value b, cut to the branches."""
-        table = basis_born_probabilities(state, self.layout, ["C", "B"])
-        return table.reshape(-1, 2 ** self.layout.size("B"))[: self.structure.num_branches]
+        rows, columns = plan.joint_shape
+        table = _born_table(cells, born, rows * columns)
+        return table.reshape(rows, columns)[: self.structure.num_branches]
 
-    def _brain(self, state: BasisState) -> DensityMatrix:
-        """The brain's reduced state.  No stage targets C and each branch
-        starts at its own cat value, so every stored amplitude is alone in its
-        column of the (B, rest) block: the state is diagonal, entry v the
-        squared norm of the amplitudes whose B value is v."""
-        n, layout = state.num_qubits, self.layout
-        if np.unique(_bit_values(state.indices, n, layout.qubits("C"))).size != state.indices.size:
-            raise AssertionError("two stored amplitudes share a cat value")
-        values = _bit_values(state.indices, n, layout.qubits("B"))
-        width = layout.size("B")
-        diagonal = [_squared_norm(state.amplitudes[values == v]) for v in range(2**width)]
-        return DensityMatrix(np.diag(diagonal), width)
+    def _brain(self, plan: _EnginePlan, amps: np.ndarray) -> DensityMatrix:
+        """The brain's reduced state, diagonal (see ``_engine_plan``): entry v
+        the squared norm of the amplitudes whose B value is v."""
+        diagonal = np.zeros(plan.joint_shape[1])
+        for value, members in plan.brain:
+            diagonal[value] = _squared_norm(amps[members])
+        return DensityMatrix(np.diag(diagonal), self.layout.size("B"))
 
-    def _marginals(self, joint: np.ndarray, records) -> tuple:
+    @staticmethod
+    def _marginals(joint: np.ndarray, plan: _EnginePlan) -> tuple:
         """Per branch, the brain's record probability (array) and the cat's
         marginal (tuple): sums of one nonzero cell, so exact."""
-        probs = joint[:, records].sum(axis=0)
+        probs = joint[:, plan.records].sum(axis=0)
         residual = abs(float(probs.sum()) - 1.0)
         if residual > RECORD_TOL:
             raise AssertionError(f"brain register holds non-record content (residual {residual:.3e})")

@@ -16,7 +16,9 @@ numpy's seeding path to array arithmetic: ``SeedSequence`` hashing of the
 seed into a four-word pool, ``generate_state(4, uint64)``, PCG64 ``srandom``
 and the 128-bit LCG step (O'Neill, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms for Random Number
-Generation", HMC-CS-2014-0905).  On those states:
+Generation", HMC-CS-2014-0905).  The hash, ``srandom``, the LCG steps and
+the outputs run in place on preallocated rows, ``_SEEDS_PER_PASS`` seeds
+per pass.  On those states:
 
 - ``first_two_uniforms`` runs the XSL-RR output function and the 53-bit
   double; element ``k`` equals ``default_rng(seeds[k]).random(2)``.
@@ -134,17 +136,22 @@ _MIX_L, _MIX_R, _SHIFT16 = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R), np.ui
 _SEEDS_PER_PASS = 32768
 
 
+def _passes(count: int) -> list:
+    """The slices of ``count`` seeds taken ``_SEEDS_PER_PASS`` per pass."""
+    return [slice(start, min(start + _SEEDS_PER_PASS, count))
+            for start in range(0, count, _SEEDS_PER_PASS)]
+
+
 def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` per seed, as the
     rows of a ``(4, n)`` uint64 array.  uint32 arrays wrap mod 2**32 like the
     reference; every ufunc writes into preallocated rows."""
     count = seeds.shape[0]
     state = np.empty((_POOL_SIZE, count), dtype=np.uint64)
-    width = min(count, _SEEDS_PER_PASS)
-    buffers = np.empty((4, _POOL_SIZE, width), dtype=np.uint32)
-    for start in range(0, count, _SEEDS_PER_PASS):
-        block = seeds[start:start + _SEEDS_PER_PASS]
-        _hash_block(block, buffers[..., :block.shape[0]], state[:, start:start + block.shape[0]])
+    buffers = np.empty((4, _POOL_SIZE, min(count, _SEEDS_PER_PASS)), dtype=np.uint32)
+    for part in _passes(count):
+        block = seeds[part]
+        _hash_block(block, buffers[..., :block.shape[0]], state[:, part])
     return state
 
 
@@ -198,54 +205,102 @@ def _hash_block(seeds, buffers, out):
     np.bitwise_or(out, pairs[:, 0], out=out)
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit product a * b, from 32-bit limbs."""
-    mask = np.uint64(_MASK32)
-    shift = np.uint64(32)
-    a0, a1 = a & mask, a >> shift
-    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
-    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    middle = (p00 >> shift) + (p01 & mask) + (p10 & mask)
-    return p11 + (p01 >> shift) + (p10 >> shift) + (middle >> shift)
+def _word(value: int) -> np.ndarray:
+    """A uint64 constant as a 0-d array: a ufunc takes one faster than a
+    numpy scalar, which it converts on every call."""
+    return np.array(value, dtype=np.uint64)
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+_LOW32, _SHIFT32, _SHIFT63, _SHIFT58, _SHIFT11 = (_word(v) for v in (_MASK32, 32, 63, 58, 11))
+_ONE, _SIXTY_FOUR, _SIXTY_THREE = _word(1), _word(64), _word(63)
+_MULT_HI, _MULT_LO = (_word(v) for v in _PCG_MULT)
+_MULT_LO_LIMBS = (_word(_PCG_MULT[1] & _MASK32), _word(_PCG_MULT[1] >> 32))
+# uint64 scratch rows per seed of the in-place 128-bit arithmetic below.
+_SCRATCH_ROWS = 4
 
 
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """state * multiplier + increment, mod 2**128."""
-    mult_hi, mult_lo = _PCG_MULT
-    prod_hi = _mulhi64(lo, mult_lo) + lo * np.uint64(mult_hi) + hi * np.uint64(mult_lo)
-    return _add128(prod_hi, lo * np.uint64(mult_lo), inc_hi, inc_lo)
+def _lcg_step(state: np.ndarray, scratch: np.ndarray) -> None:
+    """One LCG step, state * multiplier + increment mod 2**128, in place on
+    a ``(4, m)`` block ``[hi, lo, inc_hi, inc_lo]``.  The high word of
+    ``lo`` times the multiplier's low word is taken from the 32-bit limbs
+    ``[lo0, lo1]`` of ``lo`` (Warren, "Hacker's Delight", mulhu)."""
+    hi, lo, inc_hi, inc_lo = state
+    limbs, terms = scratch[:2, :state.shape[1]], scratch[2:, :state.shape[1]]
+    lo0, lo1 = limbs
+    high, middle = terms
+    # With t = lo1 * b0 + (lo0 * b0 >> 32) and w = (t & mask32) + lo0 * b1,
+    # the high word is lo1 * b1 + (t >> 32) + (w >> 32); middle holds t, then w.
+    np.bitwise_and(lo, _LOW32, out=lo0)
+    np.right_shift(lo, _SHIFT32, out=lo1)
+    b0, b1 = _MULT_LO_LIMBS
+    np.multiply(limbs, b0, out=terms)  # lo0 * b0, lo1 * b0
+    np.right_shift(high, _SHIFT32, out=high)
+    np.add(middle, high, out=middle)
+    np.multiply(limbs, b1, out=limbs)  # lo0 * b1, lo1 * b1
+    np.right_shift(middle, _SHIFT32, out=high)
+    np.bitwise_and(middle, _LOW32, out=middle)
+    np.add(middle, lo0, out=middle)
+    np.add(high, lo1, out=high)
+    np.right_shift(middle, _SHIFT32, out=middle)
+    np.add(high, middle, out=high)
+    # The cross terms, then the low word and the increment with its carry.
+    np.multiply(lo, _MULT_HI, out=middle)
+    np.add(high, middle, out=high)
+    np.multiply(hi, _MULT_LO, out=middle)
+    np.add(high, middle, out=high)
+    np.multiply(lo, _MULT_LO, out=lo)
+    np.add(lo, inc_lo, out=lo)
+    np.less(lo, inc_lo, out=middle)
+    np.add(high, middle, out=high)
+    np.add(high, inc_hi, out=hi)
 
 
-def _xsl_rr(hi, lo):
-    """PCG64 output: the xor of both halves rotated right by the top 6 bits."""
-    value = hi ^ lo
-    rot = hi >> np.uint64(58)
-    return (value >> rot) | (value << ((np.uint64(64) - rot) & np.uint64(63)))
+def _srandom(state: np.ndarray, scratch: np.ndarray) -> None:
+    """PCG64 ``srandom`` in place on a ``(4, m)`` block, from the seed
+    sequence words ``[init_hi, init_lo, seq_hi, seq_lo]`` to ``[hi, lo,
+    inc_hi, inc_lo]``: inc = seq << 1 | 1; state = 0; step; add init; step."""
+    init_hi, init_lo, seq_hi, seq_lo = state
+    carry = scratch[0, :state.shape[1]]
+    np.right_shift(seq_lo, _SHIFT63, out=carry)
+    np.left_shift(state[2:], _ONE, out=state[2:])
+    np.bitwise_or(seq_hi, carry, out=seq_hi)
+    np.bitwise_or(seq_lo, _ONE, out=seq_lo)
+    # The first step from state 0 gives inc; add init to it.
+    np.add(state[:2], state[2:], out=state[:2])
+    np.less(init_lo, seq_lo, out=carry)
+    np.add(init_hi, carry, out=init_hi)
+    _lcg_step(state, scratch)
 
 
-def _to_double(bits):
-    return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+def _uniform(state: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """PCG64's XSL-RR output of the block's state (the xor of both halves
+    rotated right by the top 6 bits), as ``random()``'s 53-bit double."""
+    hi, lo = state[0], state[1]
+    value, rot, shifted = scratch[:3, :state.shape[1]]
+    np.bitwise_xor(hi, lo, out=value)
+    np.right_shift(hi, _SHIFT58, out=rot)
+    np.right_shift(value, rot, out=shifted)
+    np.subtract(_SIXTY_FOUR, rot, out=rot)
+    np.bitwise_and(rot, _SIXTY_THREE, out=rot)
+    np.left_shift(value, rot, out=value)
+    np.bitwise_or(value, shifted, out=value)
+    np.right_shift(value, _SHIFT11, out=value)
+    np.multiply(value, 1.0 / 9007199254740992.0, out=out)
 
 
-def _pcg64_states(seeds: np.ndarray) -> list:
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
     """The PCG64 ``(state, inc)`` of ``default_rng(seed)`` per seed, before
-    its first draw, as uint64 columns ``[state_hi, state_lo, inc_hi, inc_lo]``.
+    its first draw, as the uint64 rows ``[state_hi, state_lo, inc_hi,
+    inc_lo]`` of a ``(4, n)`` array.  Each pass of ``_SEEDS_PER_PASS``
+    seeds runs in place on its columns, into one preallocated scratch block.
 
     ``seeds`` are uint64, as ``derive_seeds`` returns them.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(seeds)
-    # pcg64 srandom: inc = initseq << 1 | 1; state = 0; step; add initstate; step.
-    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-    hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
-    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-    return [hi, lo, inc_hi, inc_lo]
+    states = _seed_sequence_state(np.asarray(seeds, dtype=np.uint64))
+    scratch = np.empty((_SCRATCH_ROWS, min(states.shape[1], _SEEDS_PER_PASS)), dtype=np.uint64)
+    for part in _passes(states.shape[1]):
+        _srandom(states[:, part], scratch)
+    return states
 
 
 def first_two_uniforms(seeds: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -253,11 +308,13 @@ def first_two_uniforms(seeds: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
 
     ``seeds`` are uint64, as ``derive_seeds`` returns them.
     """
-    hi, lo, inc_hi, inc_lo = _pcg64_states(seeds)
-    uniforms = []
-    for _ in range(2):  # random() steps, then outputs the new state
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        uniforms.append(_to_double(_xsl_rr(hi, lo)))
+    states = _pcg64_states(seeds)
+    uniforms = np.empty((2, states.shape[1]))
+    scratch = np.empty((_SCRATCH_ROWS, min(states.shape[1], _SEEDS_PER_PASS)), dtype=np.uint64)
+    for part in _passes(states.shape[1]):
+        for out in uniforms[:, part]:  # random() steps, then outputs the new state
+            _lcg_step(states[:, part], scratch)
+            _uniform(states[:, part], scratch, out)
     return uniforms[0], uniforms[1]
 
 

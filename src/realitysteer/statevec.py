@@ -170,11 +170,16 @@ class BasisState:
             raise ValueError(
                 f"{indices.shape} basis indices do not match {amps.shape} amplitudes"
             )
-        if indices.size and not (indices.min() >= 0 and indices.max() < 2**self.num_qubits):
-            raise ValueError(f"basis indices out of range for {self.num_qubits} qubits")
-        if np.unique(indices).size != indices.size:
-            raise ValueError("basis indices must be distinct")
+        _check_basis_indices(indices, self.num_qubits)
         _check_norm(amps)
+
+
+def _check_basis_indices(indices: np.ndarray, num_qubits: int) -> None:
+    """``BasisState``'s index rule: distinct values in ``0..2^n-1``."""
+    if indices.size and not (indices.min() >= 0 and indices.max() < 2**num_qubits):
+        raise ValueError(f"basis indices out of range for {num_qubits} qubits")
+    if np.unique(indices).size != indices.size:
+        raise ValueError("basis indices must be distinct")
 
 
 def _density_spectra(stack: np.ndarray) -> np.ndarray:
@@ -573,19 +578,25 @@ def _permutation_pairs(gates, num_qubits: int) -> tuple:
 _cached_permutation_pairs = functools.lru_cache(maxsize=256)(_permutation_pairs)
 
 
-def _relabel(state: BasisState, pairs) -> BasisState:
+def _relabelled(indices: np.ndarray, pairs) -> np.ndarray:
     """Step two of a relabelling: for each ``(mask, flip)`` pair in turn,
     every index whose mask bits are all 1 flips its ``flip`` bit.  Each pair
-    is a bijection on ``0..2^n-1`` and the amplitudes stay the input's, so
-    the indices stay distinct and in range and the norm stays within
-    tolerance: the result is built without re-checking them."""
-    indices = state.indices
+    is a bijection on ``0..2^n-1``, so distinct indices in range stay so.
+    The result is read-only."""
     for mask, flip in pairs:
         if mask:
             indices = np.where((indices & mask) == mask, indices ^ flip, indices)
         else:
             indices = indices ^ flip
     indices.flags.writeable = False
+    return indices
+
+
+def _relabel(state: BasisState, pairs) -> BasisState:
+    """:func:`_relabelled` on a basis state.  The amplitudes stay the
+    input's, so the indices stay distinct and in range and the norm stays
+    within tolerance: the result is built without re-checking them."""
+    indices = _relabelled(state.indices, pairs)
     relabelled = object.__new__(BasisState)
     object.__setattr__(relabelled, "indices", indices)
     object.__setattr__(relabelled, "amplitudes", state.amplitudes)
@@ -601,12 +612,17 @@ def permute(state: BasisState, gates) -> BasisState:
     return _relabel(state, _permutation_pairs(gates, state.num_qubits))
 
 
+def _born_table(values: np.ndarray, born: np.ndarray, size: int) -> np.ndarray:
+    """The checked Born table of ``size`` outcomes over amplitudes whose
+    squared magnitudes are ``born`` and whose outcomes are ``values``."""
+    return _checked_table(np.bincount(values, weights=born, minlength=size))
+
+
 def basis_born_probabilities(state: BasisState, layout: RegisterLayout, subsystem: str) -> np.ndarray:
     """:func:`born_probabilities` of a basis state, as a weighted ``bincount``."""
     qubits = _subsystem_qubits(state, layout, subsystem)
     values = _bit_values(state.indices, state.num_qubits, qubits)
-    weights = np.abs(state.amplitudes) ** 2
-    return _checked_table(np.bincount(values, weights=weights, minlength=2 ** len(qubits)))
+    return _born_table(values, np.abs(state.amplitudes) ** 2, 2 ** len(qubits))
 
 
 def basis_project_onto(state: BasisState, layout: RegisterLayout, subsystem: str, value: int) -> BasisState:
@@ -625,8 +641,13 @@ def basis_filter(state: BasisState, qubit: int, weight: float) -> BasisState:
         return state
     n = state.num_qubits
     set_bit = ((state.indices >> (n - 1 - qubit)) & 1) == 1
-    filtered = state.amplitudes * np.where(set_bit, weight, 1.0)
-    return BasisState(state.indices, filtered / _filter_norm(filtered), n)
+    return BasisState(state.indices, _filtered_amplitudes(state.amplitudes, set_bit, weight), n)
+
+
+def _filtered_amplitudes(amps: np.ndarray, set_bit: np.ndarray, weight: float) -> np.ndarray:
+    """``amps`` scaled by ``weight`` where ``set_bit``, then renormalized."""
+    filtered = amps * np.where(set_bit, weight, 1.0)
+    return filtered / _filter_norm(filtered)
 
 
 def purity(rho: DensityMatrix) -> float:

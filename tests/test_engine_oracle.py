@@ -12,6 +12,7 @@ all, in any order.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ def test_engine_tables_match_dense_oracle(scenario):
     assert _bits(engine_tables(TrialEngine(scenario))) == _bits(dense_engine_tables(scenario))
 
 
+@settings(max_examples=60, deadline=None)
+@given(scenario=oracle_scenarios(), warm_seed=st.integers(0, 2**32 - 1))
+def test_a_planned_shape_weighs_new_amplitudes(scenario, warm_seed):
+    """The shape's plan is built with other weights first, then the engine
+    reads it for ``scenario``: the plan must hold no weight."""
+    structure = scenario.branch_structure
+    warm = phased_scenario(
+        structure.num_alive, structure.num_dead, warm_seed, None, scenario.encoding,
+        scenario.participation, scenario.observe_variant, scenario.env_qubits,
+        scenario.nonlinear_lambda,
+    )
+    TrialEngine(warm)
+    planned = protocol._engine_plan.cache_info().misses
+    engine = TrialEngine(scenario)
+    assert protocol._engine_plan.cache_info().misses == planned
+    assert _bits(engine_tables(engine)) == _bits(dense_engine_tables(scenario))
+
+
 @pytest.mark.parametrize("encoding, participation, env_qubits", [
     (PLAIN, ALL, 16), (TAGGED, DEAD_ONLY, 14),
 ], ids=["plain20", "tagged20_dead_only"])
@@ -180,6 +199,18 @@ def test_unpinned_records_match_dense_oracle(monkeypatch, fault, scenario, colum
     assert batch.consistent[reads == 1].all()
 
 
+# The same faults after the working shape was planned: a faulty stage is a
+# new stage object, so it keys a new plan and must still reach the engine.
+@pytest.mark.parametrize("fault, scenario, column, expected", [
+    (_erase_every_branch, TAGGED_FOUR, "_ok_stay", [0, 0, -1, -1]),
+    (_write_the_wrong_record, PLAIN_TWO, "_ok_patient", [0, 0]),
+    (_write_the_wrong_record, TAGGED_FOUR, "_ok_patient", [-1, -1, 0, 0]),
+], ids=["erase_every_branch", "wrong_record_plain", "wrong_record_tagged"])
+def test_unpinned_records_reach_a_planned_shape(monkeypatch, fault, scenario, column, expected):
+    TrialEngine(scenario)
+    test_unpinned_records_match_dense_oracle(monkeypatch, fault, scenario, column, expected)
+
+
 def test_brain_state_refuses_amplitudes_that_share_a_cat_value(monkeypatch):
     """The diagonal brain state rests on every branch keeping its own cat
     value; an erase that writes the record back into C breaks that."""
@@ -193,3 +224,20 @@ def test_brain_state_refuses_amplitudes_that_share_a_cat_value(monkeypatch):
     monkeypatch.setattr(protocol, "_clinic_stage", onto_the_cat)
     with pytest.raises(AssertionError, match="share a cat value"):
         TrialEngine(PLAIN_TWO)
+
+
+def test_brain_state_refuses_shared_cat_values_in_a_planned_shape(monkeypatch):
+    """As above, after the working shape was planned: the check runs when
+    the faulty stage's plan is built."""
+    TrialEngine(PLAIN_TWO)
+    test_brain_state_refuses_amplitudes_that_share_a_cat_value(monkeypatch)
+
+
+def test_plans_of_one_erase_stage_differ_by_participation(monkeypatch):
+    """With every branch erased, dead_only and alive_only build the same
+    erase stage, so only the plan's key tells their participating branches
+    apart."""
+    _erase_every_branch(monkeypatch)
+    for participation in (Participation.ALIVE_ONLY, DEAD_ONLY):
+        scenario = replace(TAGGED_FOUR, participation=participation)
+        assert _bits(engine_tables(TrialEngine(scenario))) == _bits(dense_engine_tables(scenario))

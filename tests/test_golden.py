@@ -101,9 +101,11 @@ def test_every_config_is_pinned():
     assert sorted(path.name for path in CONFIG_DIR.glob("*.json")) == sorted(DIGESTS)
 
 
-# Layouts, stages and compiled relabellings are cached per register shape.
+# Layouts, stages, compiled relabellings and engine plans are cached per
+# register shape.
 SHAPE_CACHES = {"_shape_layout", "_observe_stage", "_spread_stage", "_clinic_stage",
-                "_conditional_clinic_stage", "_rewrite_stage", "_cached_permutation_pairs"}
+                "_conditional_clinic_stage", "_rewrite_stage", "_cached_permutation_pairs",
+                "_engine_plan"}
 
 
 @pytest.mark.parametrize("name, shapes", [("env_sweep.json", 3), ("lambda_sweep.json", 1)])
@@ -117,14 +119,16 @@ def test_warm_and_cold_caches_give_the_same_bytes(name, shapes, tmp_path):
     config = parse_config(str(CONFIG_DIR / name))
     for cache in caches.values():
         cache.cache_clear()
-    payloads, layouts_built = [], []
+    payloads, layouts_built, plans_built = [], [], []
     for run in ("cold", "warm"):
         out = tmp_path / f"{run}.json"
         assert cmd_sweep(config, out=str(out)) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
         payloads.append(canonical_payload_bytes(payload))
         layouts_built.append(protocol._shape_layout.cache_info().misses)
-    # The cold run laid out each shape once; the warm run laid out none.
+        plans_built.append(protocol._engine_plan.cache_info().misses)
+    # The cold run laid out and planned each shape once; the warm run, none.
     assert layouts_built == [shapes, shapes]
+    assert plans_built == [shapes, shapes]
     assert payloads[0] == payloads[1]
     assert hashlib.sha256(payloads[0]).hexdigest() == DIGESTS[name]

@@ -74,6 +74,21 @@ def test_seed_sequence_state_across_passes(monkeypatch):
     assert np.array_equal(_seed_sequence_state(seeds), _reference_states(seeds))
 
 
+def test_pcg64_states_and_uniforms_across_passes(monkeypatch):
+    """The in-place srandom, LCG steps and outputs run per pass too: each
+    pass reuses one scratch block, the last pass short."""
+    monkeypatch.setattr(seeding, "_SEEDS_PER_PASS", 4)
+    seeds = np.concatenate([derive_seeds(BASES[1], 0, 5), np.array(EDGE_SEEDS, dtype=np.uint64)])
+    references = [np.random.default_rng(int(s)) for s in seeds]
+    states = [r.bit_generator.state["state"] for r in references]
+    hi, lo, inc_hi, inc_lo = seeding._pcg64_states(seeds).tolist()
+    assert [{"state": h << 64 | l, "inc": ih << 64 | il}
+            for h, l, ih, il in zip(hi, lo, inc_hi, inc_lo)] == states
+    first, second = first_two_uniforms(seeds)
+    expected = np.array([r.random(2) for r in references])
+    assert np.array_equal(first, expected[:, 0]) and np.array_equal(second, expected[:, 1])
+
+
 def _draws(gen, index):
     """Every draw kind the callers of ``generators`` use, between 32-bit
     integer draws.  Three 32-bit draws leave half of a 64-bit output
