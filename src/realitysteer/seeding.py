@@ -215,8 +215,11 @@ _LOW32, _SHIFT32, _SHIFT63, _SHIFT58, _SHIFT11 = (_word(v) for v in (_MASK32, 32
 _ONE, _SIXTY_FOUR, _SIXTY_THREE = _word(1), _word(64), _word(63)
 _MULT_HI, _MULT_LO = (_word(v) for v in _PCG_MULT)
 _MULT_LO_LIMBS = (_word(_PCG_MULT[1] & _MASK32), _word(_PCG_MULT[1] >> 32))
-# uint64 scratch rows per seed of the in-place 128-bit arithmetic below.
-_SCRATCH_ROWS = 4
+
+
+def _scratch(count: int) -> np.ndarray:
+    """The uint64 scratch rows of the in-place arithmetic below, one pass wide."""
+    return np.empty((4, min(count, _SEEDS_PER_PASS)), dtype=np.uint64)
 
 
 def _lcg_step(state: np.ndarray, scratch: np.ndarray) -> None:
@@ -297,7 +300,7 @@ def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
     ``seeds`` are uint64, as ``derive_seeds`` returns them.
     """
     states = _seed_sequence_state(np.asarray(seeds, dtype=np.uint64))
-    scratch = np.empty((_SCRATCH_ROWS, min(states.shape[1], _SEEDS_PER_PASS)), dtype=np.uint64)
+    scratch = _scratch(states.shape[1])
     for part in _passes(states.shape[1]):
         _srandom(states[:, part], scratch)
     return states
@@ -310,7 +313,7 @@ def first_two_uniforms(seeds: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """
     states = _pcg64_states(seeds)
     uniforms = np.empty((2, states.shape[1]))
-    scratch = np.empty((_SCRATCH_ROWS, min(states.shape[1], _SEEDS_PER_PASS)), dtype=np.uint64)
+    scratch = _scratch(states.shape[1])
     for part in _passes(states.shape[1]):
         for out in uniforms[:, part]:  # random() steps, then outputs the new state
             _lcg_step(states[:, part], scratch)
