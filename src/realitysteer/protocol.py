@@ -70,15 +70,13 @@ from .statevec import (
     _check_filter_weight,
     _check_norm,
     _count,
-    _cached_permutation_pairs,
     _filtered_amplitudes,
     _frozen_array,
+    _permutation_pairs,
     _projection_weight,
-    _relabel,
     _relabelled,
     _squared_norm,
     apply_gate,
-    basis_born_probabilities,
     basis_index,
     born_probabilities,
     project_onto,
@@ -288,8 +286,9 @@ def _ancilla_record_qubits(layout: RegisterLayout, encoding: RecordEncoding):
 class _Stage(NamedTuple):
     """One unitary step of the protocol: its name in errors, the registers
     that must be blank before it, and its gates, a tuple, so a cached stage
-    cannot change.  The dense stage functions and ``TrialEngine`` apply the
-    same stages."""
+    cannot change.  The dense stage functions apply a stage to a
+    ``StateVector`` (``_apply_stage``); the engine plan and the circuit
+    check apply the same stage to basis indices (``_stage_on_indices``)."""
 
     name: str
     blank: tuple
@@ -303,17 +302,11 @@ def _check_blank(stage_name: str, name: str, table: np.ndarray) -> None:
         raise ValueError(f"{stage_name}: register {name!r} is not blank")
 
 
-def _apply_stage(state, layout: RegisterLayout, stage: _Stage):
+def _apply_stage(state: StateVector, layout: RegisterLayout, stage: _Stage) -> StateVector:
     """Refuse the stage unless each register it needs blank is blank; then
-    apply its gates: gate by gate to a ``StateVector``, as one relabelling to
-    a ``BasisState``.  The relabelling's ``(mask, flip)`` pairs are compiled
-    from ``stage.gates`` once per gate tuple and register size."""
-    dense = isinstance(state, StateVector)
-    born = born_probabilities if dense else basis_born_probabilities
+    apply its gates one by one."""
     for name in stage.blank:
-        _check_blank(stage.name, name, born(state, layout, name))
-    if not dense:
-        return _relabel(state, _cached_permutation_pairs(stage.gates, state.num_qubits))
+        _check_blank(stage.name, name, born_probabilities(state, layout, name))
     for gate in stage.gates:
         state = apply_gate(state, gate)
     return state
@@ -556,6 +549,20 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _stage_on_indices(indices: np.ndarray, layout: RegisterLayout, stage: _Stage) -> tuple:
+    """``stage`` on stored basis indices alone: its blank checks, as
+    ``(stage name, register, the register's value per index, its number of
+    values)``, and the relabelled indices, read-only.  ``_check_blanks``
+    runs the checks once the amplitudes' weights are known."""
+    n = layout.total_qubits
+    checks = tuple(
+        (stage.name, name, _read_only(_bit_values(indices, n, layout.qubits(name))),
+         2 ** layout.size(name))
+        for name in stage.blank
+    )
+    return checks, _relabelled(indices, _permutation_pairs(stage.gates, n))
+
+
 def _scenario_plan(scenario: Scenario, layout: RegisterLayout) -> _EnginePlan:
     """The plan of the scenario's shape, for the stages its builders return."""
     structure, encoding = scenario.branch_structure, scenario.encoding
@@ -584,21 +591,12 @@ def _engine_plan(layout: RegisterLayout, num_alive: int, num_dead: int, encoding
     observe, spread, erase, rewrite = stages
     cell_qubits = layout.qubits("C") + layout.qubits("B")
 
-    def run(indices, stage):
-        """The stage's blank checks on ``indices``, and the relabelled indices."""
-        checks = tuple(
-            (stage.name, name, _read_only(_bit_values(indices, n, layout.qubits(name))),
-             2 ** layout.size(name))
-            for name in stage.blank
-        )
-        return checks, _relabelled(indices, _cached_permutation_pairs(stage.gates, n))
-
     indices = np.array(_cat_indices(structure, layout), dtype=np.int64)
     _check_basis_indices(indices, n)
-    observe_blanks, indices = run(indices, observe)
-    spread_blanks, indices = run(indices, spread)
+    observe_blanks, indices = _stage_on_indices(indices, layout, observe)
+    spread_blanks, indices = _stage_on_indices(indices, layout, spread)
     pre_cells = _bit_values(indices, n, cell_qubits)
-    erase_blanks, indices = run(indices, erase)
+    erase_blanks, indices = _stage_on_indices(indices, layout, erase)
     # No stage targets C and each branch starts at its own cat value, so every
     # stored amplitude is alone in its column of the (B, rest) block: the
     # brain's reduced state is diagonal.
@@ -611,7 +609,7 @@ def _engine_plan(layout: RegisterLayout, num_alive: int, num_dead: int, encoding
     patient = brain == 0
     patient_indices = indices[patient]
     _check_basis_indices(patient_indices, n)
-    rewrite_blanks, patient_indices = run(patient_indices, rewrite)
+    rewrite_blanks, patient_indices = _stage_on_indices(patient_indices, layout, rewrite)
     participating = structure.branches_in(participation)
     return _EnginePlan(
         recorded_blanks=observe_blanks + spread_blanks,

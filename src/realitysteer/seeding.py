@@ -130,7 +130,19 @@ _OUTPUT_HASH = tuple(
     np.array(values, dtype=np.uint32).reshape(2, _POOL_SIZE, 1)
     for values in (_OUTPUT_SCHEDULE[:-1], _OUTPUT_SCHEDULE[1:])
 )
-_MIX_L, _MIX_R, _SHIFT16 = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R), np.uint32(16)
+
+
+def _word(value: int, dtype=np.uint64) -> np.ndarray:
+    """A constant as a 0-d array of its operand's dtype: a ufunc takes one
+    faster than a numpy scalar, which it converts on every call."""
+    return np.array(value, dtype=dtype)
+
+
+_MIX_L, _MIX_R, _SHIFT16 = (_word(v, np.uint32) for v in (_MIX_MULT_L, _MIX_MULT_R, 16))
+_LOW32, _SHIFT32, _SHIFT63, _SHIFT58, _SHIFT11 = (_word(v) for v in (_MASK32, 32, 63, 58, 11))
+_ONE, _SIXTY_FOUR, _SIXTY_THREE = _word(1), _word(64), _word(63)
+_MULT_HI, _MULT_LO = (_word(v) for v in _PCG_MULT)
+_MULT_LO_LIMBS = (_word(_PCG_MULT[1] & _MASK32), _word(_PCG_MULT[1] >> 32))
 # Seeds hashed per pass.  The scratch block takes 64 bytes per seed, so one
 # pass stays near a core's L2 cache; larger inputs go through in blocks.
 _SEEDS_PER_PASS = 32768
@@ -163,7 +175,7 @@ def _hash_block(seeds, buffers, out):
     # hashmix(0), which is what a zero high word gives.
     entropy, scratch = pool[:2], other[:2]
     np.copyto(entropy[0], seeds, casting="unsafe")
-    np.right_shift(seeds, np.uint64(32), out=entropy[1], casting="unsafe")
+    np.right_shift(seeds, _SHIFT32, out=entropy[1], casting="unsafe")
     xor, mult = _ENTROPY_HASH
     np.bitwise_xor(entropy, xor, out=entropy)
     np.multiply(entropy, mult, out=entropy)
@@ -201,20 +213,8 @@ def _hash_block(seeds, buffers, out):
     # generate_state views pairs of 32-bit words as little-endian uint64.
     pairs = words.reshape(_POOL_SIZE, 2, -1)
     np.copyto(out, pairs[:, 1])
-    np.left_shift(out, np.uint64(32), out=out)
+    np.left_shift(out, _SHIFT32, out=out)
     np.bitwise_or(out, pairs[:, 0], out=out)
-
-
-def _word(value: int) -> np.ndarray:
-    """A uint64 constant as a 0-d array: a ufunc takes one faster than a
-    numpy scalar, which it converts on every call."""
-    return np.array(value, dtype=np.uint64)
-
-
-_LOW32, _SHIFT32, _SHIFT63, _SHIFT58, _SHIFT11 = (_word(v) for v in (_MASK32, 32, 63, 58, 11))
-_ONE, _SIXTY_FOUR, _SIXTY_THREE = _word(1), _word(64), _word(63)
-_MULT_HI, _MULT_LO = (_word(v) for v in _PCG_MULT)
-_MULT_LO_LIMBS = (_word(_PCG_MULT[1] & _MASK32), _word(_PCG_MULT[1] >> 32))
 
 
 def _scratch(count: int) -> np.ndarray:

@@ -16,13 +16,14 @@ Conventions fixed here and relied on everywhere else:
 - Values are immutable after construction; operations return new values and
   are safe to share between threads.
 
-A state is held one of two ways.  ``StateVector`` holds all 2^n amplitudes
-and takes any gate.  ``BasisState`` holds only the basis indices a state
-occupies and their amplitudes; its kernels (``permute``, ``basis_*``) apply
-the basis permutations the protocol is made of.
+A state is a ``StateVector``: all 2^n amplitudes, and any gate.  The
+protocol's steps are basis permutations, so its engine also works on basis
+indices alone: the index kernels at the end of this module read register
+values off indices (``_bit_values``), compile X, CNOT and multi-controlled-X
+gates into XOR relabellings (``_permutation_pairs``, ``_relabelled``) and
+tabulate Born weights per value (``_born_table``).
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -143,43 +144,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return 2**self.num_qubits
-
-
-@dataclass(frozen=True, eq=False)
-class BasisState:
-    """Normalized pure state held as the basis indices it occupies and their
-    amplitudes: the vector with ``amplitudes[i]`` at ``indices[i]`` and zeros
-    elsewhere.  Indices are distinct int64 values in ``0..2^n-1``, ordered
-    as in ``StateVector``; an index may carry a zero amplitude."""
-
-    indices: np.ndarray
-    amplitudes: np.ndarray
-    num_qubits: int
-
-    def __post_init__(self):
-        raw = np.asarray(self.indices)
-        if raw.size and raw.dtype.kind not in "iu":
-            raise ValueError("basis indices must be integers")
-        indices = raw.astype(np.int64)
-        indices.flags.writeable = False
-        amps = _frozen_array(self.amplitudes)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "num_qubits", _count("num_qubits", self.num_qubits, 1))
-        if indices.ndim != 1 or amps.shape != indices.shape:
-            raise ValueError(
-                f"{indices.shape} basis indices do not match {amps.shape} amplitudes"
-            )
-        _check_basis_indices(indices, self.num_qubits)
-        _check_norm(amps)
-
-
-def _check_basis_indices(indices: np.ndarray, num_qubits: int) -> None:
-    """``BasisState``'s index rule: distinct values in ``0..2^n-1``."""
-    if indices.size and not (indices.min() >= 0 and indices.max() < 2**num_qubits):
-        raise ValueError(f"basis indices out of range for {num_qubits} qubits")
-    if np.unique(indices).size != indices.size:
-        raise ValueError("basis indices must be distinct")
 
 
 def _density_spectra(stack: np.ndarray) -> np.ndarray:
@@ -426,16 +390,6 @@ def _checked_table(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _projected_qubits(state, layout: RegisterLayout, subsystem: str, value) -> tuple:
-    """The subsystem's qubits and ``value`` as an ``int``, once it is known to
-    be one of the subsystem's values."""
-    qubits = _subsystem_qubits(state, layout, subsystem)
-    value = _count("value", value, 0)
-    if value >= 2 ** len(qubits):
-        raise ValueError(f"value {value} out of range for subsystem {subsystem!r}")
-    return qubits, value
-
-
 def _squared_norm(amps: np.ndarray) -> float:
     """The summed squared magnitudes of a 1-D complex array, exactly rounded:
     the ``math.fsum`` of its squared real and imaginary parts.  It does not
@@ -482,7 +436,10 @@ def born_probabilities(state: StateVector, layout: RegisterLayout, subsystem: st
 
 def project_onto(state: StateVector, layout: RegisterLayout, subsystem: str, value: int) -> StateVector:
     """Project onto ``subsystem == value`` and renormalize."""
-    qubits, value = _projected_qubits(state, layout, subsystem, value)
+    qubits = _subsystem_qubits(state, layout, subsystem)
+    value = _count("value", value, 0)
+    if value >= 2 ** len(qubits):
+        raise ValueError(f"value {value} out of range for subsystem {subsystem!r}")
     n = state.num_qubits
     # A view of the read-only amplitudes when the qubits already lead.
     block = _qubits_first(state.amplitudes, n, qubits)
@@ -526,12 +483,24 @@ def _check_filter_weight(name: str, weight, born=None) -> None:
         raise ValueError(f"{name}: the filter annihilates both branches")
 
 
-# Kernels on a BasisState.  A weight or norm is ``_squared_norm`` of the
-# stored amplitudes, as the dense kernels take it of all 2^n: exactly rounded
-# sums ignore zeros and order, so both give the same bits.  A Born table is a
-# ``bincount``: each bin of a table whose values reach a report holds at most
-# one nonzero term.  (The tables read only against a tolerance, such as
-# blank-register checks, may sum several terms in another order.)
+# Index kernels.  The engine plan (``protocol._engine_plan``) runs the
+# protocol's stages on a state's stored basis indices alone, and a
+# ``TrialEngine`` build weighs the stored amplitudes against it.  A weight or
+# norm is ``_squared_norm`` of the stored amplitudes, as the dense kernels
+# take it of all 2^n: exactly rounded sums ignore zeros and order, so both
+# give the same bits.  A Born table is a ``bincount``: each bin of a table
+# whose values reach a report holds at most one nonzero term.  (The tables
+# read only against a tolerance, such as blank-register checks, may sum
+# several terms in another order.)
+
+
+def _check_basis_indices(indices: np.ndarray, num_qubits: int) -> None:
+    """The rule on a basis state's stored indices: distinct values in
+    ``0..2^n-1``."""
+    if indices.size and not (indices.min() >= 0 and indices.max() < 2**num_qubits):
+        raise ValueError(f"basis indices out of range for {num_qubits} qubits")
+    if np.unique(indices).size != indices.size:
+        raise ValueError("basis indices must be distinct")
 
 
 def _bit_values(indices: np.ndarray, num_qubits: int, qubits) -> np.ndarray:
@@ -563,19 +532,13 @@ def _permutation_pairs(gates, num_qubits: int) -> tuple:
         )
         if not is_x:
             raise ValueError(
-                f"permute applies x, cnot and controlled-X gates only, not {gate.kind!r}"
+                f"a relabelling applies x, cnot and controlled-X gates only, not {gate.kind!r}"
             )
         _check_targets(gate, num_qubits)
         *controls, target = gate.targets
         mask = sum(1 << (num_qubits - 1 - q) for q in controls)
         pairs.append((mask, 1 << (num_qubits - 1 - target)))
     return tuple(pairs)
-
-
-# The protocol applies the same few stage gate tuples over and over: four per
-# register shape, for up to 64 shapes.  A gate hashes and compares by
-# identity, so a hit is the very same gates.
-_cached_permutation_pairs = functools.lru_cache(maxsize=256)(_permutation_pairs)
 
 
 def _relabelled(indices: np.ndarray, pairs) -> np.ndarray:
@@ -592,56 +555,10 @@ def _relabelled(indices: np.ndarray, pairs) -> np.ndarray:
     return indices
 
 
-def _relabel(state: BasisState, pairs) -> BasisState:
-    """:func:`_relabelled` on a basis state.  The amplitudes stay the
-    input's, so the indices stay distinct and in range and the norm stays
-    within tolerance: the result is built without re-checking them."""
-    indices = _relabelled(state.indices, pairs)
-    relabelled = object.__new__(BasisState)
-    object.__setattr__(relabelled, "indices", indices)
-    object.__setattr__(relabelled, "amplitudes", state.amplitudes)
-    object.__setattr__(relabelled, "num_qubits", state.num_qubits)
-    return relabelled
-
-
-def permute(state: BasisState, gates) -> BasisState:
-    """Apply X, CNOT and multi-controlled-X gates as a relabelling of basis
-    indices: where every control bit is 1, the target bit flips.  The
-    amplitudes are untouched.  Any other gate, or a target out of range,
-    raises ``ValueError``."""
-    return _relabel(state, _permutation_pairs(gates, state.num_qubits))
-
-
 def _born_table(values: np.ndarray, born: np.ndarray, size: int) -> np.ndarray:
     """The checked Born table of ``size`` outcomes over amplitudes whose
     squared magnitudes are ``born`` and whose outcomes are ``values``."""
     return _checked_table(np.bincount(values, weights=born, minlength=size))
-
-
-def basis_born_probabilities(state: BasisState, layout: RegisterLayout, subsystem: str) -> np.ndarray:
-    """:func:`born_probabilities` of a basis state, as a weighted ``bincount``."""
-    qubits = _subsystem_qubits(state, layout, subsystem)
-    values = _bit_values(state.indices, state.num_qubits, qubits)
-    return _born_table(values, np.abs(state.amplitudes) ** 2, 2 ** len(qubits))
-
-
-def basis_project_onto(state: BasisState, layout: RegisterLayout, subsystem: str, value: int) -> BasisState:
-    """:func:`project_onto` of a basis state."""
-    qubits, value = _projected_qubits(state, layout, subsystem, value)
-    selected = _bit_values(state.indices, state.num_qubits, qubits) == value
-    indices, amps = state.indices[selected], state.amplitudes[selected]
-    weight = _projection_weight(amps, subsystem, value)
-    return BasisState(indices, amps / np.sqrt(weight), state.num_qubits)
-
-
-def basis_filter(state: BasisState, qubit: int, weight: float) -> BasisState:
-    """The nonlinear filter ``diag(1, weight)`` on one qubit of a basis state,
-    then global renormalization; weight 1 returns the state itself."""
-    if weight == 1.0:
-        return state
-    n = state.num_qubits
-    set_bit = ((state.indices >> (n - 1 - qubit)) & 1) == 1
-    return BasisState(state.indices, _filtered_amplitudes(state.amplitudes, set_bit, weight), n)
 
 
 def _filtered_amplitudes(amps: np.ndarray, set_bit: np.ndarray, weight: float) -> np.ndarray:

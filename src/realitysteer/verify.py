@@ -28,10 +28,11 @@ from .protocol import (
     RecordEncoding,
     Scenario,
     TrialEngine,
-    _apply_stage,
     _cat_indices,
+    _check_blanks,
     _observe_stage,
     _recorded_state,
+    _stage_on_indices,
     canonical_scenario,
     clinic_erase,
     prepare_cat,
@@ -42,7 +43,6 @@ from .seeding import _seed, as_generator, generators
 from .statevec import (
     EXACT_TOL,
     NORM_TOL,
-    BasisState,
     RegisterLayout,
     StateVector,
     _check_norm,
@@ -124,17 +124,20 @@ def check_circuit_equivalence(num_random_cats: int = 100, rng_seed: int = DEFAUL
     ]).T
     # Every structure here has two branches, so every cat sits on the same
     # two basis indices of one layout.  The gates only relabel indices, so
-    # one basis state per variant gives every cat's image indices, and its
-    # blank check covers every cat.  Each output amplitude is a copied cat
+    # one run of each variant's stage on those indices gives every cat's
+    # image indices, and its blank checks, weighed with the equal cat's
+    # weights, cover every cat.  Each output amplitude is a copied cat
     # weight, as the dense gate kernels give it.
     scenario = canonical_scenario()
     layout = scenario_layout(scenario)
-    cat = BasisState(_cat_indices(equal, layout), equal.weights, layout.total_qubits)
+    cat = np.array(_cat_indices(equal, layout), dtype=np.int64)
     states = []
     for variant in ("a", "b", "c"):
         stage = _observe_stage(layout, variant, scenario.encoding)
+        checks, image = _stage_on_indices(cat, layout, stage)
+        _check_blanks(checks, np.abs(equal.weights) ** 2)
         state = np.zeros((2**layout.total_qubits, weights.shape[1]), dtype=np.complex128)
-        state[_apply_stage(cat, layout, stage).indices] = weights
+        state[image] = weights
         states.append(state)
     worst = 0.0
     for i in range(3):

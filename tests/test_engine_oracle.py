@@ -1,6 +1,7 @@
 """``TrialEngine`` against its dense oracle, bit for bit.
 
-The engine runs its pipeline on a ``BasisState``;
+The engine runs its pipeline on the cat's basis indices alone, into an
+engine plan, and weighs the stored amplitudes against it;
 ``conftest.dense_engine_tables`` runs the same pipeline on a dense
 ``StateVector`` through the public stage functions, and takes the brain
 state as a full exact Gram matrix.  Every table, the brain purity and the

@@ -101,11 +101,9 @@ def test_every_config_is_pinned():
     assert sorted(path.name for path in CONFIG_DIR.glob("*.json")) == sorted(DIGESTS)
 
 
-# Layouts, stages, compiled relabellings and engine plans are cached per
-# register shape.
+# Layouts, stages and engine plans are cached per register shape.
 SHAPE_CACHES = {"_shape_layout", "_observe_stage", "_spread_stage", "_clinic_stage",
-                "_conditional_clinic_stage", "_rewrite_stage", "_cached_permutation_pairs",
-                "_engine_plan"}
+                "_conditional_clinic_stage", "_rewrite_stage", "_engine_plan"}
 
 
 @pytest.mark.parametrize("name, shapes", [("env_sweep.json", 3), ("lambda_sweep.json", 1)])

@@ -23,7 +23,6 @@ from realitysteer import (
     nonlinear_probabilities,
     observe,
     partial_trace,
-    permute,
     prepare_cat,
     purity,
     record_value,
@@ -36,10 +35,17 @@ from realitysteer import (
     von_neumann_entropy,
     protocol,
 )
-from realitysteer.protocol import _apply_stage, _cat_indices, _decoupling_metrics, _haar_encodings
+from realitysteer.protocol import (
+    _cat_indices,
+    _check_blanks,
+    _decoupling_metrics,
+    _haar_encodings,
+    _stage_on_indices,
+)
 from realitysteer.seeding import as_generator
-from realitysteer.statevec import BasisState
+from realitysteer.statevec import _check_basis_indices
 from conftest import (
+    brute_bit_values,
     brute_image,
     brute_partial_trace,
     brute_permutation,
@@ -776,30 +782,30 @@ def _max_env_qubits(scenario):
     return (22 - fixed) // width
 
 
-def _dense(state):
-    amps = np.zeros(2**state.num_qubits, dtype=complex)
-    amps[state.indices] = state.amplitudes
+def _dense(indices, weights, num_qubits):
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[indices] = weights
     return amps
 
 
-def _relabelled_checked(state, layout, stage):
-    """``stage`` applied to a basis state as the engine applies it, checked
-    against the brute-force relabelling, and rebuilt through the public,
-    fully checked ``BasisState`` constructor."""
-    n = state.num_qubits
-    out = _apply_stage(state, layout, stage)
-    assert out.indices.tolist() == [brute_image(i, n, stage.gates) for i in state.indices.tolist()]
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+def _relabelled_checked(indices, weights, layout, stage):
+    """``stage`` on basis indices as the engine plan runs it, checked against
+    the brute-force relabelling: each blank check reads its register off the
+    input indices and passes on ``weights``, and the image is read-only int64
+    indices that the basis-index rule accepts."""
+    n = layout.total_qubits
+    checks, out = _stage_on_indices(indices, layout, stage)
+    assert out.tolist() == [brute_image(i, n, stage.gates) for i in indices.tolist()]
     if n <= 10:
-        assert np.array_equal(_dense(out), brute_permutation(_dense(state), n, stage.gates))
-    public = permute(state, stage.gates)
-    rebuilt = BasisState(out.indices, out.amplitudes, out.num_qubits)
-    for other in (public, rebuilt):
-        assert other.num_qubits == out.num_qubits
-        assert other.indices.dtype == out.indices.dtype == np.int64
-        assert np.array_equal(other.indices, out.indices)
-        assert np.array_equal(other.amplitudes, out.amplitudes)
-    assert not out.indices.flags.writeable and not out.amplitudes.flags.writeable
+        expected = brute_permutation(_dense(indices, weights, n), n, stage.gates)
+        assert np.array_equal(_dense(out, weights, n), expected)
+    assert [check[:2] for check in checks] == [(stage.name, name) for name in stage.blank]
+    for _, name, values, size in checks:
+        assert np.array_equal(values, brute_bit_values(indices, n, layout.qubits(name)))
+        assert size == 2 ** layout.size(name) and not values.flags.writeable
+    _check_blanks(checks, np.abs(weights) ** 2)
+    assert out.dtype == np.int64 and not out.flags.writeable
+    _check_basis_indices(out, n)
     return out
 
 
@@ -809,8 +815,8 @@ def _relabelled_checked(state, layout, stage):
 @pytest.mark.parametrize("encoding", list(RecordEncoding), ids=lambda e: e.value)
 def test_relabelling_skips_only_checks_it_cannot_fail(encoding, counts, variant, participation):
     """Every stage builder, at 1 and 2 environment copies and at the widest
-    register the budget allows: the relabelled state equals the brute-force
-    permutation, and the public constructor, with all its checks, accepts it."""
+    register the budget allows: the relabelled indices equal the brute-force
+    permutation, and every check the plan skips on them holds."""
     rng = np.random.default_rng(20261020)
     n = sum(counts)
     weights = rng.uniform(0.1, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
@@ -822,10 +828,11 @@ def test_relabelling_skips_only_checks_it_cannot_fail(encoding, counts, variant,
         layout = scenario_layout(scenario)
         stages = engine_stages(scenario)
         structure = scenario.branch_structure
-        state = BasisState(_cat_indices(structure, layout), structure.weights, layout.total_qubits)
-        state = _relabelled_checked(state, layout, stages["observe"])
-        state = _relabelled_checked(state, layout, stages["spread"])
+        cat = structure.weights
+        indices = np.array(_cat_indices(structure, layout), dtype=np.int64)
+        indices = _relabelled_checked(indices, cat, layout, stages["observe"])
+        indices = _relabelled_checked(indices, cat, layout, stages["spread"])
         for erase in ("clinic", "conditional_clinic"):
-            erased = _relabelled_checked(state, layout, stages[erase])
-            _relabelled_checked(erased, layout, stages["rewrite"])
+            erased = _relabelled_checked(indices, cat, layout, stages[erase])
+            _relabelled_checked(erased, cat, layout, stages["rewrite"])
     assert layout.total_qubits >= 21

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from realitysteer import (
-    BasisState,
     BranchStructure,
     DensityMatrix,
     GateSpec,
@@ -42,7 +41,7 @@ from realitysteer import (
     verify,
 )
 from realitysteer.seeding import as_generator, derive_seed, derive_seeds
-from realitysteer.statevec import _density_spectra, basis_project_onto
+from realitysteer.statevec import _density_spectra
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -341,7 +340,6 @@ class TestNoSignallingOneDrawPerIndex:
 # A two-qubit state with C leading: 0.6 on C = 0, 0.8 on C = 1, B blank.
 PROJECTION_LAYOUT = RegisterLayout.from_sizes([("C", 1), ("B", 1)])
 PROJECTION_DENSE = StateVector([0.6, 0, 0.8, 0], 2)
-PROJECTION_BASIS = BasisState([0, 2], [0.6, 0.8], 2)
 
 
 class TestCountArguments:
@@ -381,9 +379,6 @@ class TestCountArguments:
         (lambda: StateVector(np.array([1, 0]), True), "num_qubits"),
         (lambda: StateVector(np.array([1, 0]), 1.0), "num_qubits"),
         (lambda: StateVector(np.array([1, 0]), 1.5), "num_qubits"),
-        (lambda: BasisState([0], [1.0], True), "num_qubits"),
-        (lambda: BasisState([0], [1.0], 1.0), "num_qubits"),
-        (lambda: BasisState([0], [1.0], 1.5), "num_qubits"),
         (lambda: DensityMatrix(np.diag([1.0, 0.0]), True), "num_qubits"),
         (lambda: DensityMatrix(np.diag([1.0, 0.0]), 1.0), "num_qubits"),
         (lambda: DensityMatrix(np.diag([1.0, 0.0]), 1.5), "num_qubits"),
@@ -392,9 +387,6 @@ class TestCountArguments:
         (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", True), "value"),
         (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", 1.0), "value"),
         (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", 1.5), "value"),
-        (lambda: basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", True), "value"),
-        (lambda: basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", 1.0), "value"),
-        (lambda: basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", 1.5), "value"),
         (lambda: as_generator(1.5), "rng"),
         (lambda: as_generator(True), "rng"),
         (lambda: derive_seed(1.5, 0), "base_seed"),
@@ -413,11 +405,9 @@ class TestCountArguments:
         "kraus_arity_float", "kraus_arity_bool", "seed_float", "seed_bool",
         "record_bool", "record_float", "target_bool", "target_float", "size_bool",
         "size_float", "layout_total_bool", "layout_total_float", "state_bool",
-        "state_integral_float", "state_float", "basis_bool", "basis_integral_float",
-        "basis_float", "density_bool", "density_integral_float", "density_float",
-        "value_integral_float", "value_float", "project_bool",
-        "project_integral_float", "project_float", "basis_project_bool",
-        "basis_project_integral_float", "basis_project_float", "generator_float",
+        "state_integral_float", "state_float", "density_bool", "density_integral_float",
+        "density_float", "value_integral_float", "value_float", "project_bool",
+        "project_integral_float", "project_float", "generator_float",
         "generator_bool", "derive_float", "derive_bool", "derive_many_float",
         "sweep_seed_float", "sweep_seed_bool", "no_signalling_seed_float",
         "no_signalling_seed_bool", "run_checks_seed_float", "circuit_seed_bool",
@@ -444,16 +434,13 @@ class TestCountArguments:
         (lambda: RegisterLayout.from_sizes([("C", 1), ("B", 0)]), "sizes", 1),
         (lambda: basis_index(RegisterLayout.from_sizes([("C", 1)]), {"C": -1}), "values", 0),
         (lambda: project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", -1), "value", 0),
-        (lambda: basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", -1), "value", 0),
         (lambda: RegisterLayout((), -1), "total_qubits", 0),
         (lambda: StateVector(np.array([1.0]), 0), "num_qubits", 1),
-        (lambda: BasisState([0], [1.0], 0), "num_qubits", 1),
         (lambda: DensityMatrix(np.ones((1, 1)), 0), "num_qubits", 1),
     ], ids=[
         "cats", "channels", "trials", "ensemble", "batch_negative", "batch_empty",
         "batch_first", "encodings", "alive", "env", "kraus", "arity", "kraus_arity",
-        "target", "size", "value", "project", "basis_project", "layout_total", "state",
-        "basis", "density",
+        "target", "size", "value", "project", "layout_total", "state", "density",
     ])
     def test_refuses_a_count_below_its_minimum(self, call, name, minimum):
         with pytest.raises(ValueError, match=f"{name}: must be an integer >= {minimum}, got "):
@@ -489,7 +476,6 @@ class TestCountArguments:
         assert RegisterLayout.from_sizes([]).total_qubits == 0
         assert type(RegisterLayout((("C", (0,)),), np.int64(1)).total_qubits) is int
         assert type(StateVector(np.array([1, 0]), np.int64(1)).num_qubits) is int
-        assert type(BasisState([0], [1.0], np.int64(1)).num_qubits) is int
         assert type(DensityMatrix(np.diag([1.0, 0.0]), np.int64(1)).num_qubits) is int
         assert basis_index(layout, {"C": np.uint8(2)}) == basis_index(layout, {"C": "10"}) == 2
 
@@ -503,10 +489,6 @@ class TestCountArguments:
         expected = project_onto(PROJECTION_DENSE, PROJECTION_LAYOUT, "C", 1)
         assert dense.amplitudes.tobytes() == expected.amplitudes.tobytes()
         assert abs(dense.amplitudes[2]) == 1.0
-        basis = basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", np.int64(1))
-        expected = basis_project_onto(PROJECTION_BASIS, PROJECTION_LAYOUT, "C", 1)
-        assert basis.indices.tolist() == expected.indices.tolist() == [2]
-        assert basis.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
     @pytest.mark.parametrize("seed, plain", [
         (np.int64(5), 5), (np.uint64(5), 5), (-1, 2**64 - 1), (2**70 + 5, 5),
