@@ -88,20 +88,27 @@ def _above(check_name: str, metric: float, tolerance: float, details: str) -> Ve
     return Verdict(check_name, metric > tolerance, metric, tolerance, details)
 
 
+def _row_norms(stack: np.ndarray) -> np.ndarray:
+    """Each row's norm of a complex ``(m, n)`` stack, as ``np.linalg.norm``
+    gives it for that row alone: one BLAS dot of the row's real parts and
+    one of its imaginary parts.  A stacked norm sums in another order and
+    moves last bits."""
+    return np.array([math.sqrt(re.dot(re) + im.dot(im)) for re, im in zip(stack.real, stack.imag)])
+
+
 def _random_two_branch(rng: np.random.Generator) -> BranchStructure:
     amplitudes = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return BranchStructure(1, 1, amplitudes / np.linalg.norm(amplitudes))
+    return BranchStructure(1, 1, amplitudes / _row_norms(amplitudes[np.newaxis])[0])
 
 
 def _random_cat_weights(gen: np.random.Generator, count: int) -> np.ndarray:
     """``count`` calls of ``_random_two_branch(gen)``, as their ``(count, 2)``
-    weights, from one draw.  Each cat keeps its own ``np.linalg.norm``, so the
+    weights, from one draw.  Each cat is divided by its own row norm, so the
     weights are bit-equal, and ``BranchStructure``'s norm rule runs once over
     the stack."""
     draws = gen.standard_normal((count, 2, 2))
     weights = draws[:, 0] + 1j * draws[:, 1]
-    for row in weights:
-        row /= np.linalg.norm(row)
+    weights /= _row_norms(weights)[:, np.newaxis]
     deviation = np.max(np.abs(np.sum(np.abs(weights) ** 2, axis=1) - 1.0), initial=0.0)
     if not deviation <= NORM_TOL:
         raise ValueError(f"weights: squared amplitudes sum off unity by {deviation:.3e}")
@@ -188,22 +195,22 @@ def check_no_signalling(num_random_channels: int = 100, rng_seed: int = DEFAULT_
     rng_seed = _seed("rng_seed", rng_seed)
     # Each index draws, in one call, its state's real parts, its imaginary
     # parts and its (k, 2, d, d) Kraus block: the values of those three
-    # draws made in turn.  The rows run grouped by (arity, Kraus count), one
-    # stack per group.
-    groups = {}
+    # draws made in turn.  Index i has arity 1 + i % 2 and 1 + i % 3 Kraus
+    # operators, so its group is i % 6, and it writes row i // 6 of that
+    # group's block.
+    groups = []
+    for group in range(min(6, num_random_channels)):
+        dim, num_kraus = 2 ** (1 + group % 2), 1 + group % 3
+        members = len(range(group, num_random_channels, 6))
+        groups.append((dim, num_kraus, np.empty((members, 4 * dim + 2 * num_kraus * dim * dim))))
     for index, gen in enumerate(generators(rng_seed, 0, num_random_channels)):
-        arity, num_kraus = 1 + index % 2, 1 + index % 3
-        dim = 2**arity
-        rows = groups.setdefault((arity, num_kraus), [])
-        rows.append(gen.standard_normal(4 * dim + 2 * num_kraus * dim * dim))
+        gen.standard_normal(out=groups[index % 6][2][index // 6])
     worst = 0.0
-    for (arity, num_kraus), rows in groups.items():
-        dim = 2**arity
-        draws = np.stack(rows)
+    for dim, num_kraus, draws in groups:
         states = draws[:, : 2 * dim] + 1j * draws[:, 2 * dim : 4 * dim]
-        # Each state's own norm: a stacked norm sums in another order.
-        for state in states:
-            state /= np.linalg.norm(state)
+        # Each state divided by its own row norm, as the per-channel oracle
+        # divides it.
+        states /= _row_norms(states)[:, np.newaxis]
         _check_norm(states)
         kraus = _ginibre_kraus(draws[:, 4 * dim :].reshape(-1, num_kraus, 2, dim, dim))
         distances = _channel_trace_distances(states, kraus)
@@ -354,6 +361,26 @@ def expected_post_probabilities(scenario: Scenario) -> np.ndarray:
     return np.array([p0, p1])
 
 
+def _chisquare_p_value(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Pearson's goodness-of-fit p-value, with the arithmetic and the totals
+    refusal of ``scipy.stats.chisquare``: the statistic
+    ``sum((observed - expected)**2 / expected)`` and its chi-square tail at
+    ``len(observed) - 1`` degrees of freedom."""
+    # Imported here: only this check needs scipy.  scipy.special imports in
+    # about a fifth of the time scipy.stats takes.
+    from scipy.special import chdtrc
+
+    observed_total, expected_total = np.sum(observed), np.sum(expected)
+    relative_diff = abs(observed_total - expected_total) / min(observed_total, expected_total)
+    if relative_diff > np.finfo(np.float64).eps ** 0.5:
+        raise ValueError(
+            f"chi-square: observed total {observed_total} and expected total "
+            f"{expected_total} differ by {relative_diff:.3e} relative"
+        )
+    statistic = np.sum((observed - expected) ** 2 / expected)
+    return float(chdtrc(len(observed) - 1, statistic))
+
+
 def born_statistics_test(scenario: "Scenario | None" = None, num_trials: int = 20000) -> Verdict:
     """Chi-square goodness of fit of sampled post-outcomes against the
     closed-form prediction."""
@@ -369,11 +396,7 @@ def born_statistics_test(scenario: "Scenario | None" = None, num_trials: int = 2
         passed = stray == 0.0
         p_value = 1.0 if passed else 0.0
     else:
-        # Imported here: scipy.stats costs about a second to import, and no
-        # other code path needs it.
-        from scipy import stats
-
-        _, p_value = stats.chisquare(counts[support], expected[support] * num_trials)
+        p_value = _chisquare_p_value(counts[support], expected[support] * num_trials)
         passed = stray == 0.0 and bool(p_value > 0.001)
     return Verdict(
         check_name="born_statistics",

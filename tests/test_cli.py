@@ -513,11 +513,21 @@ class TestReportFiles:
         assert out.read_bytes() == head
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """``scipy.stats`` takes about a second to import and only the
-    Born-statistics check uses it, so a bare CLI import must not load it."""
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    """``scipy.stats`` takes about a second to import, so neither a bare CLI
+    import nor a Born-statistics run loads it: the check's chi-square tail
+    comes from ``scipy.special``."""
     src = os.path.dirname(os.path.dirname(realitysteer.__file__))
-    code = "import sys, realitysteer.cli; sys.exit('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-    assert result.returncode == 0, result.stderr.decode()
+    out = tmp_path / "born.json"
+    bare = "import sys, realitysteer.cli; sys.exit('scipy.stats' in sys.modules)"
+    born = (
+        "import sys, realitysteer.cli as cli; "
+        "status = cli.main(['verify', '--suite', 'born_statistics', '--out', sys.argv[1]]); "
+        "assert status == 0, status; sys.exit('scipy.stats' in sys.modules)"
+    )
+    for code in (bare, born):
+        result = subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+    verdicts = json.loads(out.read_text())["payload"]["verdicts"]
+    assert [verdict["check_name"] for verdict in verdicts] == ["born_statistics"]

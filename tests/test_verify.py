@@ -322,19 +322,44 @@ class TestNoSignallingOneDrawPerIndex:
     def test_a_member_off_unity_raises(self, monkeypatch, bad, shown):
         """One state of the first stack divided by a wrong norm is refused by
         ``StateVector``'s norm rule, which names the worst deviation."""
-        real_norm = np.linalg.norm
+        real_norms = verify._row_norms
         calls = []
 
-        def third_off(x, *args, **kwargs):
+        def third_off(stack):
             calls.append(None)
-            return real_norm(x, *args, **kwargs) * (bad if len(calls) == 3 else 1.0)
+            norms = real_norms(stack)
+            if len(calls) == 1:
+                norms[2] *= bad
+            return norms
 
-        monkeypatch.setattr(np.linalg, "norm", third_off)
+        monkeypatch.setattr(verify, "_row_norms", third_off)
         refusal = f"^squared norm deviates from 1 by {shown}$"
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=refusal):
             check_no_signalling(20, rng_seed=1)
         monkeypatch.undo()
         assert check_no_signalling(20, rng_seed=1).passed
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    def test_bit_equal_to_each_rows_own_norm(self, width):
+        """Each row's norm carries the bits ``np.linalg.norm`` gives that row
+        alone, signed zeros included: random rows over many scales, zero
+        rows, rows of -0.0 and rows mixing -0.0 with nonzero parts."""
+        gen = as_generator(width)
+        count = 4000
+        scales = 10.0 ** gen.integers(-100, 100, (count, 1))
+        stack = np.empty((count, width), dtype=np.complex128)
+        stack.real = gen.standard_normal((count, width)) * scales
+        stack.imag = gen.standard_normal((count, width)) * scales
+        stack[:2] = 0.0
+        stack.real[2:5] = -0.0
+        stack.imag[2:4] = -0.0
+        stack.imag[5, ::2] = -0.0
+        expected = np.array([np.linalg.norm(row) for row in stack])
+        norms = verify._row_norms(stack)
+        assert norms.dtype == np.float64 and norms.shape == (count,)
+        assert norms.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 # A two-qubit state with C leading: 0.6 on C = 0, 0.8 on C = 1, B blank.
@@ -622,6 +647,60 @@ class TestBornStatistics:
     def test_minimum_trial_count_enforced(self):
         with pytest.raises(ValueError, match="1000"):
             born_statistics_test(num_trials=10)
+
+    @pytest.mark.parametrize("num_alive, num_dead",
+                             [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)])
+    def test_p_value_bit_equal_to_scipy_chisquare(self, num_alive, num_dead):
+        """Over 2 to 7 bins and a grid of seeds, the check's p-value has the
+        bits of ``scipy.stats.chisquare`` on the same sampled counts."""
+        from scipy import stats
+
+        bins, num_trials = num_alive + num_dead, 5000
+        for rng_seed in range(6):
+            amplitudes = as_generator(rng_seed + 100).standard_normal(bins) + 0j
+            structure = BranchStructure(num_alive, num_dead, amplitudes / np.linalg.norm(amplitudes))
+            scenario = canonical_scenario(branch_structure=structure, rng_seed=rng_seed)
+            verdict = born_statistics_test(scenario, num_trials=num_trials)
+            post = TrialEngine(scenario).run_batch(rng_seed, 0, num_trials).post
+            counts = np.bincount(post, minlength=bins).astype(float)
+            expected = expected_post_probabilities(scenario) * num_trials
+            assert verdict.metric.hex() == float(stats.chisquare(counts, expected).pvalue).hex()
+
+    def test_chisquare_p_value_bit_equal_on_random_tables(self):
+        """Multinomial tables of 2 to 7 bins against their expected counts:
+        the p-value has the bits of ``scipy.stats.chisquare``."""
+        from scipy import stats
+
+        gen = as_generator(36)
+        for _ in range(2000):
+            bins = int(gen.integers(2, 8))
+            probabilities = gen.dirichlet(np.ones(bins))
+            total = int(gen.integers(1000, 100_000))
+            observed = gen.multinomial(total, probabilities).astype(float)
+            expected = probabilities * total
+            p_value = verify._chisquare_p_value(observed, expected)
+            assert p_value.hex() == float(stats.chisquare(observed, expected).pvalue).hex()
+
+    @pytest.mark.parametrize("expected_total, refused",
+                             [(1000.0, False), (1000.0 * (1 + 1e-8), False),
+                              (1000.0 * (1 + 2e-8), True), (900.0, True), (1100.0, True)])
+    def test_totals_that_disagree_are_refused(self, expected_total, refused):
+        """Observed and expected totals more than sqrt(eps) apart, relative,
+        raise ``ValueError``, as ``scipy.stats.chisquare`` does."""
+        from scipy import stats
+
+        observed = np.array([400.0, 350.0, 250.0])
+        expected = np.array([0.4, 0.35, 0.25]) * expected_total
+
+        def refuses(call):
+            try:
+                call()
+            except ValueError:
+                return True
+            return False
+
+        assert refuses(lambda: verify._chisquare_p_value(observed, expected)) is refused
+        assert refuses(lambda: stats.chisquare(observed, expected)) is refused
 
 
 class TestSuiteRunner:
